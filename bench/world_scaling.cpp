@@ -1,25 +1,18 @@
-// World-size sweep: the epoll reactor vs the thread-per-peer engine
-// (ISSUE 10 acceptance).
+// World-size sweep for the socket fabric's epoll reactor.
 //
 // Spins up in-process SocketFabric worlds over Unix-domain sockets — one
 // real endpoint per rank, full-mesh rendezvous, real frames on real
-// sockets — and times a ring exchange at growing world sizes. The
-// reactor ladder climbs to 64 ranks; the legacy threaded engine stops at
-// 8 (its thread bill is the point: world-1 reader threads per rank,
-// O(N^2) across the world, where the reactor holds one I/O thread per
-// rank at any N).
+// sockets — and times a ring exchange at growing world sizes, up to 64
+// ranks (8 with --quick).
 //
-// Three numbers matter downstream:
-//   * ring_throughput (rounds/s, per engine x world row) — reported for
-//     the record, deliberately NOT gated: absolute loopback throughput
-//     is machine noise across CI hosts.
-//   * reactor_vs_threads_speedup_w4 / _w8 (summary row) — gated in CI
-//     against bench/baselines/BENCH_world_scaling.json; the reactor must
-//     stay within tolerance of the threaded engine where both run.
+// Two numbers matter downstream:
+//   * ring_throughput (rounds/s, one row per world) — reported for the
+//     record, deliberately NOT gated: absolute loopback throughput is
+//     machine noise across CI hosts.
 //   * reactor_io_threads_per_rank (summary row) — gated with
-//     --lower=...: the whole point of the rewrite, O(1) I/O threads in
-//     world size. Also enforced structurally (exit code) per rank per
-//     world, so the ctest fails even where bench_compare never runs.
+//     --lower=...: one I/O thread per endpoint at any world size. Also
+//     enforced structurally (exit code) per rank per world, so the ctest
+//     fails even where bench_compare never runs.
 //
 // Gate:
 //   bench_compare bench/baselines/BENCH_world_scaling.json
@@ -75,18 +68,14 @@ class Barrier {
 struct SweepPoint {
   double rounds_per_s = 0.0;
   int io_threads_per_rank = 0;   ///< max observed across ranks
-  bool io_threads_ok = true;     ///< matched the engine's contract
+  bool io_threads_ok = true;     ///< every rank ran exactly one I/O thread
 };
-
-const char* engine_name(net::SocketIoMode io) {
-  return io == net::SocketIoMode::kReactor ? "reactor" : "threads";
-}
 
 /// One sweep point: an n-rank UDS world rings `rounds` times with
 /// `payload_bytes` messages; every rank is a genuine SocketFabric
 /// endpoint on its own thread.
-SweepPoint run_world(net::SocketIoMode io, int n, int rounds,
-                     std::size_t payload_bytes, int warmup) {
+SweepPoint run_world(int n, int rounds, std::size_t payload_bytes,
+                     int warmup) {
   const std::string rendezvous = net::unique_unix_rendezvous();
   Barrier barrier(n);
   std::vector<std::thread> threads;
@@ -103,14 +92,11 @@ SweepPoint run_world(net::SocketIoMode io, int n, int rounds,
         config.rendezvous = rendezvous;
         config.world_size = n;
         config.rank = rank;
-        config.io = io;
         config.recv_timeout_ms = 60000;
         net::SocketFabric fabric(config);
 
-        const int expect =
-            io == net::SocketIoMode::kReactor ? 1 : n - 1;
         const int got = fabric.io_threads();
-        if (got != expect) io_threads_ok = false;
+        if (got != 1) io_threads_ok = false;
         int seen = max_io_threads.load();
         while (got > seen && !max_io_threads.compare_exchange_weak(seen, got)) {
         }
@@ -159,8 +145,8 @@ int main(int argc, char** argv) {
     std::cout << "world_scaling: --max-world=<n> --rounds=<n> "
                  "--payload=<bytes> --warmup=<n> --quick\n"
                  "Ring-exchange throughput and I/O-thread census for the\n"
-                 "reactor vs thread-per-peer socket engines at growing\n"
-                 "world sizes (reactor up to --max-world, threads to 8).\n";
+                 "socket fabric's epoll reactor at growing world sizes\n"
+                 "(up to --max-world).\n";
     return 0;
   }
   const bool quick = flags.has("quick");
@@ -172,77 +158,42 @@ int main(int argc, char** argv) {
   const int warmup = static_cast<int>(flags.get_int("warmup", quick ? 1 : 3));
 
   print_header("World scaling",
-               "Ring rounds/s and I/O threads per rank vs world size: "
-               "epoll reactor (O(1) threads) vs thread-per-peer readers");
+               "Ring rounds/s and I/O threads per rank vs world size on "
+               "the epoll reactor (O(1) threads)");
 
   auto& json = bench_json();
-  AsciiTable table(
-      {"engine", "world", "rounds/s", "io threads/rank", "contract"});
+  AsciiTable table({"world", "rounds/s", "io threads/rank", "contract"});
   bool structural_ok = true;
   int reactor_max_io_threads = 0;
-  double reactor_w4 = 0.0, reactor_w8 = 0.0;
-  double threads_w4 = 0.0, threads_w8 = 0.0;
-
-  for (const net::SocketIoMode io :
-       {net::SocketIoMode::kThreads, net::SocketIoMode::kReactor}) {
-    // The threaded ladder stops at 8 ranks: beyond that it spends
-    // world*(world-1) reader threads on one host, which is the pathology
-    // the reactor removes — not a regime worth timing.
-    const int cap = io == net::SocketIoMode::kThreads
-                        ? std::min(8, max_world)
-                        : max_world;
-    for (int world = 2; world <= cap; world *= 2) {
-      const SweepPoint point = run_world(io, world, rounds, payload, warmup);
-      const std::string row =
-          std::string(engine_name(io)) + " w=" + std::to_string(world);
-      json.set(row, "engine", std::string(engine_name(io)));
-      json.set(row, "world", static_cast<double>(world));
-      json.set(row, "ring_throughput", point.rounds_per_s);
-      json.set(row, "io_threads_per_rank",
-               static_cast<double>(point.io_threads_per_rank));
-      table.add_row({engine_name(io), std::to_string(world),
-                     format_sig(point.rounds_per_s, 3),
-                     std::to_string(point.io_threads_per_rank),
-                     point.io_threads_ok ? "ok" : "VIOLATED"});
-      structural_ok = structural_ok && point.io_threads_ok;
-      if (io == net::SocketIoMode::kReactor) {
-        reactor_max_io_threads =
-            std::max(reactor_max_io_threads, point.io_threads_per_rank);
-        if (world == 4) reactor_w4 = point.rounds_per_s;
-        if (world == 8) reactor_w8 = point.rounds_per_s;
-      } else {
-        if (world == 4) threads_w4 = point.rounds_per_s;
-        if (world == 8) threads_w8 = point.rounds_per_s;
-      }
-    }
+  for (int world = 2; world <= max_world; world *= 2) {
+    const SweepPoint point = run_world(world, rounds, payload, warmup);
+    const std::string row = "reactor w=" + std::to_string(world);
+    json.set(row, "world", static_cast<double>(world));
+    json.set(row, "ring_throughput", point.rounds_per_s);
+    json.set(row, "io_threads_per_rank",
+             static_cast<double>(point.io_threads_per_rank));
+    table.add_row({std::to_string(world),
+                   format_sig(point.rounds_per_s, 3),
+                   std::to_string(point.io_threads_per_rank),
+                   point.io_threads_ok ? "ok" : "VIOLATED"});
+    structural_ok = structural_ok && point.io_threads_ok;
+    reactor_max_io_threads =
+        std::max(reactor_max_io_threads, point.io_threads_per_rank);
   }
   std::cout << table.to_string();
 
-  // The gated figures: relative speedups where both engines ran (CI
-  // hosts disagree on absolute loopback numbers but agree on ratios),
-  // and the O(1) thread census.
-  const double speedup_w4 = threads_w4 > 0.0 ? reactor_w4 / threads_w4 : 0.0;
-  const double speedup_w8 = threads_w8 > 0.0 ? reactor_w8 / threads_w8 : 0.0;
-  std::cout << "\nreactor vs threads speedup: w4 "
-            << format_sig(speedup_w4, 3) << "x, w8 "
-            << format_sig(speedup_w8, 3) << "x\n"
-            << "reactor io threads per rank (max over worlds): "
+  // The gated figure: the O(1) thread census.
+  std::cout << "\nreactor io threads per rank (max over worlds): "
             << reactor_max_io_threads << "\n";
-  json.set("summary", "reactor_vs_threads_speedup_w4", speedup_w4);
-  json.set("summary", "reactor_vs_threads_speedup_w8", speedup_w8);
   json.set("summary", "reactor_io_threads_per_rank",
            static_cast<double>(reactor_max_io_threads));
   json.set("summary", "max_world", static_cast<double>(max_world));
   json.write();
 
-  if (!structural_ok) {
-    std::cerr << "FAIL: an engine's io_threads() broke its contract "
-                 "(reactor must be 1, threads must be world-1)\n";
-    return 1;
-  }
-  if (reactor_max_io_threads != 1) {
-    std::cerr << "FAIL: reactor I/O threads grew with world size ("
-              << reactor_max_io_threads << " at some world)\n";
+  if (!structural_ok || reactor_max_io_threads != 1) {
+    std::cerr << "FAIL: reactor I/O threads per rank were not 1 at every "
+                 "world size (max seen: "
+              << reactor_max_io_threads << ")\n";
     return 1;
   }
   std::cout << "world-scaling structural checks passed (reactor I/O "

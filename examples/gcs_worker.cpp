@@ -77,9 +77,6 @@ struct WorkerConfig {
   int peer_timeout_ms = 0;
   /// Elastic rejoin window in ms (0 = transport default, 2 s).
   int rejoin_window_ms = 0;
-  /// Transport I/O engine: one epoll reactor loop per process (the
-  /// default) or the legacy thread-per-peer readers (--io=threads).
-  bool io_threads = false;
   /// Fault demo: this original rank kills itself (SIGKILL-equivalent
   /// _exit) while encoding round `die_round`. -1 = nobody dies.
   int die_rank = -1;
@@ -184,8 +181,6 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
   if (config.rejoin_window_ms > 0) {
     fc.rejoin_window_ms = config.rejoin_window_ms;
   }
-  fc.io = config.io_threads ? gcs::net::SocketIoMode::kThreads
-                            : gcs::net::SocketIoMode::kReactor;
   gcs::net::SocketFabric fabric(fc);
   // Decorator stack, innermost first: freeze (hang injection) directly on
   // the fabric, then the straggler delay, then — outermost, health only —
@@ -240,7 +235,7 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
   // every process derives the identical chunk/bucket plan.
   gcs::core::PipelineConfig pipeline_config =
       gcs::core::parse_pipeline_config(config.scheme, layout, config.world);
-  if (pipeline_config.effective_backend() !=
+  if (pipeline_config.backend !=
       gcs::core::PipelineBackend::kLocalReference) {
     throw gcs::Error(
         "gcs_worker: drop fabric=/fabric from --scheme — the transport is "
@@ -570,10 +565,6 @@ int main(int argc, char** argv) {
              "  --elastic             survive peer failure: re-rendezvous\n"
              "                        the survivors (new epoch, dense\n"
              "                        re-ranking) with EF state intact\n"
-             "  --io=<engine>         transport I/O engine: reactor (one\n"
-             "                        epoll loop per process, default) or\n"
-             "                        threads (legacy one reader thread\n"
-             "                        per peer)\n"
              "  --peer-timeout-ms=<t> recv deadline (default 60000)\n"
              "  --rejoin-window-ms=<t> elastic rejoin window (default\n"
              "                        2000)\n"
@@ -636,12 +627,6 @@ int main(int argc, char** argv) {
         static_cast<int>(flags.get_int("peer-timeout-ms", 0));
     config.rejoin_window_ms =
         static_cast<int>(flags.get_int("rejoin-window-ms", 0));
-    const std::string io = flags.get_string("io", "reactor");
-    if (io != "reactor" && io != "threads") {
-      std::cerr << "--io expects reactor or threads, got '" << io << "'\n";
-      return 2;
-    }
-    config.io_threads = io == "threads";
     config.die_rank = static_cast<int>(flags.get_int("die-rank", -1));
     config.die_round = static_cast<int>(flags.get_int("die-round", 0));
     config.delay_rank = static_cast<int>(flags.get_int("delay-rank", -1));
@@ -668,6 +653,9 @@ int main(int argc, char** argv) {
         static_cast<int>(flags.get_int("delay-after-round", -1));
     config.round_gap_ms =
         static_cast<int>(flags.get_int("round-gap-ms", 0));
+    const bool launch = flags.get_bool("launch", false);
+    const int rank = static_cast<int>(flags.get_int("rank", -1));
+    flags.reject_unknown();
     // A watchdog or abort request is a health-plane request.
     if (config.watchdog_ms > 0 || config.watchdog_abort) {
       config.health = true;
@@ -714,9 +702,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (flags.get_bool("launch", false)) return launch_all(config);
+    if (launch) return launch_all(config);
 
-    const int rank = static_cast<int>(flags.get_int("rank", -1));
     if (rank < 0) {
       std::cerr << "pass --launch or --rank=<r> (see --help)\n";
       return 2;

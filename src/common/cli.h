@@ -1,13 +1,15 @@
 // Minimal --key=value command-line parsing for benches and examples.
 //
 // Deliberately tiny: flags are "--name=value" or "--name value"; "--help"
-// prints registered flags. Unknown flags throw (a typo silently changing an
-// experiment's parameters is the failure mode we care about).
+// prints registered flags. Unknown flags throw from reject_unknown() (a
+// typo silently changing an experiment's parameters is the failure mode we
+// care about): a binary reads every flag it accepts, then calls it once.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,11 @@ class CliFlags {
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
+  /// Throws gcs::Error naming the first passed flag that no has()/get_*()
+  /// call has read. Call once every flag the binary accepts has been read
+  /// (including flags only some of its modes use).
+  void reject_unknown() const;
+
   /// True when --help was passed; callers should print usage and exit 0.
   bool help_requested() const noexcept { return help_; }
 
@@ -38,6 +45,7 @@ class CliFlags {
   std::optional<std::string> lookup(const std::string& name) const;
 
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;  ///< names queried so far
   std::vector<std::string> positional_;
   bool help_ = false;
 };

@@ -322,8 +322,6 @@ net::SocketFabricConfig socket_fabric_config(const PipelineConfig& config,
   if (config.rejoin_window_ms > 0) {
     fc.rejoin_window_ms = config.rejoin_window_ms;
   }
-  fc.io = config.socket_io_threads ? net::SocketIoMode::kThreads
-                                   : net::SocketIoMode::kReactor;
   return fc;
 }
 
@@ -484,7 +482,7 @@ RoundStats AggregationPipeline::aggregate(
   GCS_CHECK(grads.size() == n);
   GCS_CHECK(out.size() == codec_->dimension());
 
-  const PipelineBackend backend = config_.effective_backend();
+  const PipelineBackend backend = config_.backend;
   if (backend == PipelineBackend::kSocketFabric) {
     return aggregate_socket(grads, out, round);
   }
@@ -819,7 +817,7 @@ RoundStats AggregationPipeline::aggregate_socket(
   wire_.received.assign(static_cast<std::size_t>(n), 0);
 
   // Fork ranks 1..n-1 first (while this process is still quiescent — no
-  // reader threads yet), then participate as rank 0 so the codec's
+  // I/O threads yet), then participate as rank 0 so the codec's
   // cross-round state advances in the surviving process. Each child runs
   // the identical SPMD round on its copy-on-write snapshot of the codec
   // and reports its wire meters plus the aggregated output for

@@ -21,7 +21,7 @@ namespace {
 constexpr const char* kPipelineOptions[] = {
     "chunk",   "fabric",   "port",          "iface",    "buckets",
     "bucket",  "workers",  "backward_frac", "autotune", "elastic",
-    "peer_timeout_ms", "io"};
+    "peer_timeout_ms"};
 constexpr const char* kPipelineFlags[] = {"fabric", "autotune"};
 
 struct Spec {
@@ -112,7 +112,6 @@ PipelineConfig pipeline_config_of(const Spec& spec,
       static_cast<std::size_t>(spec.get_double("chunk", 0.0));
   if (spec.has_flag("fabric")) {
     pipeline.backend = PipelineBackend::kThreadedFabric;
-    pipeline.threaded_fabric = true;
   }
 
   const auto fabric_it = spec.options.find("fabric");
@@ -130,12 +129,6 @@ PipelineConfig pipeline_config_of(const Spec& spec,
           "got '" +
           value + "'");
     }
-    // An explicit fabric=<value> is authoritative: without this, a spec
-    // like "fp16:fabric:fabric=local" would silently run threaded
-    // (effective_backend treats kLocalReference as "defer to the legacy
-    // flag").
-    pipeline.threaded_fabric =
-        pipeline.backend == PipelineBackend::kThreadedFabric;
   }
 
   const bool socket = pipeline.backend == PipelineBackend::kSocketFabric;
@@ -206,24 +199,6 @@ PipelineConfig pipeline_config_of(const Spec& spec,
     }
     pipeline.peer_timeout_ms = static_cast<int>(ms);
   }
-  // ---- socket I/O engine: io=reactor (one epoll loop, the default) or
-  // io=threads (legacy thread-per-peer readers). Socket-only, like
-  // port=/iface= — the in-process fabrics have no sockets to poll.
-  const auto io_it = spec.options.find("io");
-  if (io_it != spec.options.end()) {
-    const std::string& value = io_it->second;
-    if (value != "reactor" && value != "threads") {
-      throw Error("compressor spec: io= expects reactor or threads, got '" +
-                  value + "'");
-    }
-    if (!socket) {
-      throw Error(
-          "compressor spec: io= is only meaningful with fabric=socket "
-          "(the I/O engine choice lives in the socket transport)");
-    }
-    pipeline.socket_io_threads = value == "threads";
-  }
-
   // ---- scheduler knobs (DESIGN.md section 4): buckets=, bucket=,
   // workers=, autotune.
   const auto buckets_it = spec.options.find("buckets");
@@ -318,7 +293,7 @@ PipelineConfig pipeline_config_of(const Spec& spec,
     for (const auto& [key, value] : spec.options) {
       if (key == "buckets" || key == "workers" || key == "fabric" ||
           key == "port" || key == "iface" || key == "autotune" ||
-          key == "elastic" || key == "peer_timeout_ms" || key == "io") {
+          key == "elastic" || key == "peer_timeout_ms") {
         continue;
       }
       plain += ":" + key + "=" + value;

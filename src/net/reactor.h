@@ -1,10 +1,9 @@
 // Epoll reactor — the event-driven I/O engine under SocketFabric.
 //
 // One Reactor is one epoll loop on one thread, serving every peer
-// connection of an endpoint. It replaces the thread-per-peer reader
-// model (O(N) threads per process, O(N²) cluster-wide) with O(1)
-// threads per process regardless of world size — the refactor ROADMAP
-// item 2 names as the gate to hundred-rank worlds.
+// connection of an endpoint: O(1) I/O threads per process regardless of
+// world size, where one reader thread per peer would cost O(N) per
+// process and O(N²) cluster-wide — the gate to hundred-rank worlds.
 //
 // Receive path (reactor thread only): every channel runs a two-state
 // reassembly machine. The 32-byte GCSF header is accumulated first

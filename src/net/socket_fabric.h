@@ -3,22 +3,16 @@
 // SocketFabric implements comm::Transport over TCP or Unix-domain sockets
 // so the chunked hop-interleaved collectives run unmodified across
 // processes and hosts. Construction performs the full-mesh rendezvous
-// (net/rendezvous.h) and then starts the I/O engine selected by
-// config.io:
+// (net/rendezvous.h) and then hands every peer connection to ONE epoll
+// loop (net/reactor.h), which drains them into the tag-indexed
+// reassembly buckets: O(1) I/O threads per process regardless of world
+// size, zero-copy readv reassembly, coalescing writev sends. This is
+// what makes hundred-rank worlds affordable (bench/world_scaling.cpp).
 //
-//   * kReactor (default) — ONE epoll loop (net/reactor.h) drains every
-//     peer connection into the tag-indexed reassembly buckets: O(1) I/O
-//     threads per process regardless of world size, zero-copy readv
-//     reassembly, coalescing writev sends. This is what makes
-//     hundred-rank worlds affordable (bench/world_scaling.cpp).
-//   * kThreads — the legacy engine, one blocking receive loop per peer:
-//     O(N) threads per process, kept as the conformance reference
-//     (tests/test_transport_conformance.cpp pins both to one contract).
-//
-// Either way every connection is permanently drained (no cross-rank
-// send/recv deadlock — a blocked writer always has a draining reader on
-// the other end) and interleaved chunk streams can be received in
-// whatever order the collective asks for.
+// Every connection is permanently drained (no cross-rank send/recv
+// deadlock — a blocked writer always has a draining reader on the other
+// end) and interleaved chunk streams can be received in whatever order
+// the collective asks for.
 //
 // Semantics vs the in-process Fabric:
 //   * recv matches by (peer, tag). Where Fabric throws on a tag mismatch
@@ -37,14 +31,14 @@
 // Elastic membership (config.elastic, DESIGN.md "Fault tolerance"): the
 // fabric tracks a comm::Membership — an epoch counter plus the original
 // (epoch-0) rank of every current rank. Every frame is stamped with the
-// sender's epoch; a reader that sees an older epoch *rejects* the frame
-// (counted in stale_frames_rejected(), never parked where a same-tag
-// recv could mis-deliver it). After a PeerFailure, rebuild() tears the
-// old mesh down — which wakes every survivor blocked anywhere in the old
-// world, cascading the abort — re-runs the rendezvous as a new epoch
-// with a shrunken membership (dense re-ranking, original rank 0
-// coordinating), and restarts the readers. Recv/reassembly state of the
-// old epoch is discarded; byte meters are cumulative across epochs.
+// sender's epoch; a frame carrying an older epoch is *rejected* (counted
+// in stale_frames_rejected(), never parked where a same-tag recv could
+// mis-deliver it). After a PeerFailure, rebuild() tears the old mesh
+// down — which wakes every survivor blocked anywhere in the old world,
+// cascading the abort — re-runs the rendezvous as a new epoch with a
+// shrunken membership (dense re-ranking, original rank 0 coordinating),
+// and starts a fresh reactor on the new mesh. Recv/reassembly state of
+// the old epoch is discarded; byte meters are cumulative across epochs.
 //
 // Determinism: the collectives fix the reduction order, the per-peer
 // streams are FIFO (TCP/UDS ordering), and reassembly only reorders
@@ -60,7 +54,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "comm/transport.h"
@@ -71,12 +64,6 @@
 #include "telemetry/metrics.h"
 
 namespace gcs::net {
-
-/// The fabric's I/O engine (see the file comment).
-enum class SocketIoMode {
-  kReactor,  ///< one epoll loop for all peers (default)
-  kThreads,  ///< legacy: one blocking reader thread per peer
-};
 
 struct SocketFabricConfig {
   /// Rank 0's rendezvous address: "unix:<path>" or "tcp:<host>:<port>".
@@ -97,8 +84,6 @@ struct SocketFabricConfig {
   /// Elastic: rendezvous keeps its doors open this long for further
   /// members before closing an epoch's membership.
   int rejoin_window_ms = 2000;
-  /// I/O engine. The factory's `io=` knob lands here.
-  SocketIoMode io = SocketIoMode::kReactor;
 };
 
 class SocketFabric final : public comm::Transport {
@@ -126,7 +111,7 @@ class SocketFabric final : public comm::Transport {
 
   /// Installs a wire tap (see comm::Transport): send/recv on the owned
   /// rank are timed and reported. Install while no collective is in
-  /// flight; reader threads never touch the tap.
+  /// flight; the reactor thread never touches the tap.
   void set_wire_tap(comm::WireTap* tap) override { tap_ = tap; }
 
   comm::Membership membership() const override { return membership_; }
@@ -145,7 +130,7 @@ class SocketFabric final : public comm::Transport {
   /// window) or survivors' resume rounds diverge.
   comm::Membership rebuild(std::uint64_t resume_round) override;
 
-  /// Old-epoch frames dropped by the readers plus reassembly buckets
+  /// Old-epoch frames dropped on arrival plus reassembly buckets
   /// discarded at rebuilds — the "rejected, not mis-delivered" meter.
   std::uint64_t stale_frames_rejected() const;
 
@@ -159,20 +144,20 @@ class SocketFabric final : public comm::Transport {
   /// thread); returns false when that peer is not in the current mesh.
   bool fail_peer(int original_rank);
 
-  /// Internal I/O threads serving the current mesh: 1 in reactor mode,
-  /// world-1 reader threads in legacy mode. The world-size sweep
-  /// (bench/world_scaling.cpp) gates that this stays O(1) by default.
+  /// Internal I/O threads serving the current mesh: the reactor's one
+  /// loop (0 between epochs). The world-size sweep
+  /// (bench/world_scaling.cpp) gates that this stays O(1).
   int io_threads() const;
 
-  /// Reactor loop counters (zeroed Stats in kThreads mode).
+  /// Reactor loop counters (zeroed Stats between epochs).
   Reactor::Stats reactor_stats() const;
 
  private:
   struct Peer;
 
-  /// Reactor-mode frame consumer for one peer: runs the same epoch /
-  /// source validation the legacy reader_loop runs, then parks the
-  /// payload in the peer's tag bucket. Reactor-thread callbacks.
+  /// Frame consumer for one peer: rejects stale-epoch frames, refuses
+  /// future-epoch or wrong-source ones (closing the channel), then parks
+  /// the payload in the peer's tag bucket. Reactor-thread callbacks.
   struct PeerSink final : Reactor::Sink {
     SocketFabric* fabric = nullptr;
     Peer* peer = nullptr;
@@ -183,10 +168,7 @@ class SocketFabric final : public comm::Transport {
   };
 
   struct Peer {
-    Socket sock;  ///< kThreads mode; in reactor mode moved into the loop
-    std::mutex send_mu;
-    std::thread reader;
-    int channel = -1;  ///< reactor channel id (kReactor mode)
+    int channel = -1;  ///< reactor channel id
     PeerSink sink;
     // Reassembly state, guarded by mu.
     std::mutex mu;
@@ -195,8 +177,8 @@ class SocketFabric final : public comm::Transport {
     std::size_t buffered = 0;  ///< messages currently parked in by_tag
     bool closed = false;
     std::string close_reason;
-    /// Watchdog heartbeat, keyed by the peer's original rank: the I/O
-    /// engine beats per frame parked, recv arms it while blocked — so
+    /// Watchdog heartbeat, keyed by the peer's original rank: the sink
+    /// beats per frame parked, recv arms it while blocked — so
     /// "armed and silent" means exactly "waiting on this peer and
     /// nothing is arriving".
     health::LaneHandle lane;
@@ -206,7 +188,6 @@ class SocketFabric final : public comm::Transport {
                    std::vector<int> original_ranks, int self,
                    std::uint64_t epoch);
   void teardown_mesh();
-  void reader_loop(int peer_rank, std::uint64_t epoch);
   void count_stale_frame();
   Peer& peer(int rank) const;
   /// Counts a typed PeerFailure about to be thrown (meter + telemetry)
@@ -216,14 +197,15 @@ class SocketFabric final : public comm::Transport {
 
   SocketFabricConfig config_;
   comm::Membership membership_;
-  std::vector<std::unique_ptr<Peer>> peers_;  // self slot has no socket
-  /// The epoch's event loop (kReactor mode); rebuilt with the mesh. Must
-  /// be destroyed before peers_ is cleared (sinks point into peers_).
+  std::vector<std::unique_ptr<Peer>> peers_;  // self slot is null
+  /// The epoch's event loop; rebuilt with the mesh. Must be destroyed
+  /// before peers_ is cleared (sinks point into peers_).
   std::unique_ptr<Reactor> reactor_;
   /// Serializes mesh mutation (adopt_epoch/teardown_mesh, both on the
-  /// collective thread) against fail_peer (watchdog thread). Reader
-  /// threads never take it, so teardown can join them while holding it.
-  std::mutex mesh_mu_;
+  /// collective thread) against fail_peer (watchdog thread) and the
+  /// introspection getters. The reactor thread never takes it, so
+  /// teardown can join the loop while holding it.
+  mutable std::mutex mesh_mu_;
 
   // Loopback (self-send) queue, same reassembly semantics.
   mutable std::mutex self_mu_;

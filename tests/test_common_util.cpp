@@ -104,5 +104,39 @@ TEST(Cli, Positional) {
   EXPECT_EQ(flags.positional()[0], "file.csv");
 }
 
+TEST(Cli, RejectUnknownNamesTheUnreadFlag) {
+  // A typo (--elastc) or a retired knob must not silently run a different
+  // experiment.
+  const char* argv[] = {"prog", "--world=4", "--elastc", "--engine=old"};
+  CliFlags flags(4, argv);
+  EXPECT_EQ(flags.get_int("world", 0), 4);
+  EXPECT_FALSE(flags.get_bool("elastic", false));
+  try {
+    flags.reject_unknown();
+    FAIL() << "unread flags were accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--elastc"), std::string::npos)
+        << e.what();
+  }
+  (void)flags.get_bool("elastc", false);
+  try {
+    flags.reject_unknown();
+    FAIL() << "--engine was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--engine"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, RejectUnknownAcceptsEveryReadFlag) {
+  const char* argv[] = {"prog", "--a=1", "--b", "x", "--c", "pos"};
+  CliFlags flags(6, argv);
+  (void)flags.get_int("a", 0);
+  (void)flags.get_string("b", "");
+  EXPECT_TRUE(flags.has("c"));  // a presence query counts as a read
+  (void)flags.get_double("never-passed", 0.0);
+  EXPECT_NO_THROW(flags.reject_unknown());
+}
+
 }  // namespace
 }  // namespace gcs

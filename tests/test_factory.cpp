@@ -82,6 +82,29 @@ TEST(Factory, UnknownOptionOrFlagThrows) {
   EXPECT_NO_THROW(make_compressor("fp16:tree:chunk=64", l, 4));
 }
 
+TEST(Factory, RetiredIoKnobIsAnUnknownKey) {
+  // The socket backend has one I/O engine; the old engine selector must
+  // fail loudly instead of being silently ignored.
+  const ModelLayout l({LayerSpec{"x", 100, 1}});
+  for (const char* spec :
+       {"fp16:fabric=socket:io=threads", "fp16:fabric=socket:io=reactor"}) {
+    for (const bool codec_only : {false, true}) {
+      try {
+        if (codec_only) {
+          (void)make_scheme_codec(spec, l, 4);
+        } else {
+          (void)make_compressor(spec, l, 4);
+        }
+        ADD_FAILURE() << spec << " was accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown option 'io'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(Factory, FabricOptionSelectsBackend) {
   const ModelLayout l({LayerSpec{"x", 100, 1}});
   EXPECT_NO_THROW(make_compressor("fp16:fabric=local", l, 4));
@@ -91,14 +114,13 @@ TEST(Factory, FabricOptionSelectsBackend) {
   EXPECT_NO_THROW(make_compressor(
       "fp16:fabric=socket:port=29500:iface=127.0.0.1", l, 4));
   // parse_pipeline_config exposes the same parse for SPMD drivers.
-  EXPECT_EQ(parse_pipeline_config("fp16:fabric=socket").effective_backend(),
+  EXPECT_EQ(parse_pipeline_config("fp16:fabric=socket").backend,
             PipelineBackend::kSocketFabric);
-  EXPECT_EQ(parse_pipeline_config("fp16:fabric").effective_backend(),
+  EXPECT_EQ(parse_pipeline_config("fp16:fabric").backend,
             PipelineBackend::kThreadedFabric);
-  // An explicit fabric=<value> beats the legacy bare flag.
-  EXPECT_EQ(
-      parse_pipeline_config("fp16:fabric:fabric=local").effective_backend(),
-      PipelineBackend::kLocalReference);
+  // An explicit fabric=<value> beats the bare flag.
+  EXPECT_EQ(parse_pipeline_config("fp16:fabric:fabric=local").backend,
+            PipelineBackend::kLocalReference);
   EXPECT_EQ(
       parse_pipeline_config("fp16:fabric=socket:port=29500").socket_port,
       29500);

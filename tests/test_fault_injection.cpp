@@ -127,35 +127,6 @@ TEST(FaultInjection, AllFiveSchemesSurviveMidCollectiveKill) {
   }
 }
 
-TEST(FaultInjection, LegacyThreadedEngineSurvivesEveryKillPhase) {
-  // The thread-per-peer engine stays a supported fallback (io=threads):
-  // one world of the matrix — every phase, the same bit-exactness
-  // criterion — keeps its recovery path honest without doubling the
-  // full matrix's runtime.
-  constexpr KillPhase kPhases[] = {
-      KillPhase::kPreRendezvous,
-      KillPhase::kMidEncode,
-      KillPhase::kMidCollective,
-      KillPhase::kMidDecode,
-  };
-  for (const KillPhase phase : kPhases) {
-    WorldConfig config;
-    config.scheme = "topkc:b=8";
-    config.world = 4;
-    config.rounds = 7;
-    config.dim = 1024;
-    config.chunk = 256;
-    config.rejoin_window_ms = 600;
-    config.io = net::SocketIoMode::kThreads;
-    config.log_dir = "fault_logs";
-    FaultPlan fault;
-    fault.victim = 2;
-    fault.phase = phase;
-    fault.round = 2;
-    expect_matches_reference(config, fault);
-  }
-}
-
 TEST(FaultInjection, ElasticOffStillFailsLoudlyWithinPeerTimeout) {
   // The regression pin on today's loud-failure contract: with elastic
   // off (the default), a peer exit mid-round throws on every surviving

@@ -310,7 +310,6 @@ TEST(SchedPipeline, EncodeFailureFailsLoudlyOnOverlappedFabric) {
   const std::size_t d = 256;
   const int world = 4;
   PipelineConfig config;
-  config.threaded_fabric = true;
   config.backend = PipelineBackend::kThreadedFabric;
   config.chunk_bytes = 64;
   config.encode_workers = 2;

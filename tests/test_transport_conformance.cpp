@@ -1,14 +1,11 @@
-// Transport conformance battery: one parameterized suite, three
+// Transport conformance battery: one parameterized suite, two
 // implementations.
 //
-// Every comm::Transport in the tree — the in-process Fabric, the socket
-// fabric with the legacy thread-per-peer readers, and the socket fabric
-// with the epoll reactor loop — must present the same contract to the
-// collectives: per-(src, dst) FIFO ordering, tagged delivery, zero-length
-// frames, exact payload byte meters, monotone stats. The reactor rewrite
-// (net/reactor.h) is only safe because this suite pins both socket I/O
-// engines to one observable behaviour; a divergence here is a transport
-// bug, not a test flake.
+// Every comm::Transport in the tree — the in-process Fabric and the
+// socket fabric on its epoll reactor loop — must present the same
+// contract to the collectives: per-(src, dst) FIFO ordering, tagged
+// delivery, zero-length frames, exact payload byte meters, monotone
+// stats. A divergence here is a transport bug, not a test flake.
 //
 // Contract points that are *deliberately* implementation-specific get
 // socket-only tests with a GTEST_SKIP on the in-process fabric:
@@ -16,7 +13,7 @@
 //     tag mismatch; the socket fabrics buffer and re-order by design),
 //   * typed comm::PeerFailure on peer exit and on recv timeout,
 //   * stale-epoch rejection and elastic rebuild() semantics,
-//   * io_threads() topology (1 reactor loop vs world-1 reader threads).
+//   * io_threads() topology (1 reactor loop at any world size).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,25 +37,18 @@ namespace {
 /// The transport implementations under conformance test.
 enum class Impl {
   kFabric,         ///< comm::Fabric, in-process
-  kSocketThreads,  ///< net::SocketFabric, legacy reader threads
   kSocketReactor,  ///< net::SocketFabric, epoll reactor loop
 };
 
 const char* impl_name(Impl impl) {
   switch (impl) {
     case Impl::kFabric: return "Fabric";
-    case Impl::kSocketThreads: return "SocketThreads";
     case Impl::kSocketReactor: return "SocketReactor";
   }
   return "?";
 }
 
 bool is_socket(Impl impl) { return impl != Impl::kFabric; }
-
-net::SocketIoMode io_mode(Impl impl) {
-  return impl == Impl::kSocketThreads ? net::SocketIoMode::kThreads
-                                      : net::SocketIoMode::kReactor;
-}
 
 ByteBuffer bytes_of(std::initializer_list<int> xs) {
   ByteBuffer b;
@@ -103,8 +93,8 @@ struct WorldOptions {
 
 /// Runs `body(transport, rank)` once per rank, each rank on its own
 /// thread. For kFabric all ranks share one comm::Fabric; for the socket
-/// impls each rank constructs its own net::SocketFabric endpoint over a
-/// fresh Unix-domain rendezvous with the engine under test. The first
+/// impl each rank constructs its own net::SocketFabric endpoint over a
+/// fresh Unix-domain rendezvous. The first
 /// exception from any rank is rethrown here (after all threads joined);
 /// on the shared fabric it also aborts the world so peers blocked on the
 /// failed rank's messages cannot deadlock the test.
@@ -144,7 +134,6 @@ void run_world(Impl impl, int n,
           config.recv_timeout_ms = opts.recv_timeout_ms;
           config.elastic = opts.elastic;
           config.rejoin_window_ms = opts.rejoin_window_ms;
-          config.io = io_mode(impl);
           net::SocketFabric fabric(config);
           body(fabric, rank);
         } catch (...) {
@@ -161,8 +150,7 @@ class TransportConformance : public ::testing::TestWithParam<Impl> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllTransports, TransportConformance,
-    ::testing::Values(Impl::kFabric, Impl::kSocketThreads,
-                      Impl::kSocketReactor),
+    ::testing::Values(Impl::kFabric, Impl::kSocketReactor),
     [](const ::testing::TestParamInfo<Impl>& info) {
       return impl_name(info.param);
     });
@@ -425,7 +413,7 @@ TEST_P(TransportConformance, RebuildShrinksWorldAndCountsStaleFrames) {
 
 TEST_P(TransportConformance, IoThreadTopologyMatchesEngine) {
   // The structural point of the reactor: I/O thread count is O(1) in
-  // world size, where the legacy engine spends world-1 reader threads.
+  // world size — one loop, not one reader thread per peer.
   if (!is_socket(GetParam())) {
     GTEST_SKIP() << "Fabric has no I/O threads";
   }
@@ -433,11 +421,7 @@ TEST_P(TransportConformance, IoThreadTopologyMatchesEngine) {
   constexpr int kWorld = 4;
   run_world(impl, kWorld, [&](comm::Transport& t, int rank) {
     auto& fabric = dynamic_cast<net::SocketFabric&>(t);
-    if (impl == Impl::kSocketReactor) {
-      EXPECT_EQ(fabric.io_threads(), 1);
-    } else {
-      EXPECT_EQ(fabric.io_threads(), kWorld - 1);
-    }
+    EXPECT_EQ(fabric.io_threads(), 1);
     // Quiesce: a full barrier round so no rank tears down while another
     // still counts on its connection.
     for (int peer = 0; peer < kWorld; ++peer) {
@@ -451,10 +435,9 @@ TEST_P(TransportConformance, IoThreadTopologyMatchesEngine) {
 
 TEST_P(TransportConformance, ReactorStatsTrackWireActivity) {
   // Reactor-only observability: the loop's wakeup/readv/flush counters
-  // move when traffic flows. (Threads mode reports zeroed stats; the
-  // fabric has no reactor at all.)
+  // move when traffic flows. (The in-process fabric has no reactor.)
   if (GetParam() != Impl::kSocketReactor) {
-    GTEST_SKIP() << "reactor counters exist only in reactor mode";
+    GTEST_SKIP() << "reactor counters exist only on the socket fabric";
   }
   run_world(GetParam(), 2, [&](comm::Transport& t, int rank) {
     const int peer = 1 - rank;

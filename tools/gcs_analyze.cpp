@@ -207,6 +207,13 @@ int main(int argc, char** argv) {
       print_usage();
       return 0;
     }
+    const bool repair = !flags.get_bool("no-repair", false);
+    const std::string out_dir = flags.get_string("out", ".");
+    const bool chrome_out = !flags.get_bool("no-chrome", false);
+    const bool gate = flags.get_bool("gate", false);
+    const std::vector<std::string> required =
+        gcs::split_csv(flags.get_string("require", ""));
+    flags.reject_unknown();
     const std::vector<std::string>& files = flags.positional();
     if (files.empty()) {
       print_usage();
@@ -226,14 +233,13 @@ int main(int argc, char** argv) {
     }
 
     gcs::measure::MergeOptions options;
-    options.repair_causality = !flags.get_bool("no-repair", false);
+    options.repair_causality = repair;
     const MergeResult merged =
         gcs::measure::merge_rank_traces(rank_traces, options);
     const AnalysisSummary summary = gcs::measure::analyze(merged);
     print_report(merged, summary);
 
-    const std::string out_dir = flags.get_string("out", ".");
-    if (!flags.get_bool("no-chrome", false)) {
+    if (chrome_out) {
       const std::string chrome_path = out_dir + "/gcs_merged.chrome.json";
       std::ofstream chrome(chrome_path);
       if (!chrome) {
@@ -246,7 +252,7 @@ int main(int argc, char** argv) {
     write_bench_json(out_dir, merged, summary);
 
     bool ok = true;
-    if (flags.get_bool("gate", false)) {
+    if (gate) {
       if (merged.violations_after > 0) {
         std::cerr << "GATE: " << merged.violations_after
                   << " residual causality violation(s) after repair\n";
@@ -271,8 +277,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    for (const std::string& clause :
-         gcs::split_csv(flags.get_string("require", ""))) {
+    for (const std::string& clause : required) {
       if (clause.rfind("straggler=", 0) == 0) {
         const int want = std::stoi(clause.substr(10));
         if (summary.straggler != want) {

@@ -124,7 +124,7 @@ core::PipelineConfig pipeline_config_for(const DriverConfig& config,
                                          measure::TraceRecorder* trace) {
   core::PipelineConfig pc =
       core::parse_pipeline_config(spec, layout, config.world);
-  if (pc.effective_backend() != core::PipelineBackend::kLocalReference) {
+  if (pc.backend != core::PipelineBackend::kLocalReference) {
     throw Error(
         "gcs_driver: drop fabric=/fabric from --schemes — the execution "
         "backend is chosen by --fabric/--rank");
@@ -531,6 +531,7 @@ int main(int argc, char** argv) {
     config.rendezvous = flags.get_string("rendezvous", "");
     config.rank = static_cast<int>(flags.get_int("rank", -1));
     config.out = flags.get_string("out", config.out);
+    flags.reject_unknown();
     if (config.world < 2) {
       std::cerr << "gcs_driver: --world must be >= 2\n";
       return 2;

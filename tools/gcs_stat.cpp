@@ -277,12 +277,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     const std::string targets_csv = flags.get_string("targets", "");
-    if (targets_csv.empty()) {
-      print_usage();
-      std::cerr << "gcs_stat: --targets is required\n";
-      return 1;
-    }
-    const std::vector<std::string> targets = gcs::split_csv(targets_csv);
     const int interval_ms =
         static_cast<int>(flags.get_int("interval-ms", 1000));
     const int timeout_ms = static_cast<int>(flags.get_int("timeout-ms", 2000));
@@ -291,6 +285,13 @@ int main(int argc, char** argv) {
     const std::vector<std::string> required =
         gcs::split_csv(flags.get_string("require", ""));
     const std::string dump_path = flags.get_string("dump", "");
+    flags.reject_unknown();
+    if (targets_csv.empty()) {
+      print_usage();
+      std::cerr << "gcs_stat: --targets is required\n";
+      return 1;
+    }
+    const std::vector<std::string> targets = gcs::split_csv(targets_csv);
     std::uint64_t dump_seq = 0;
 
     std::vector<Backoff> backoffs(targets.size());

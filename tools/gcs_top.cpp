@@ -368,12 +368,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     const std::string targets_csv = flags.get_string("targets", "");
-    if (targets_csv.empty()) {
-      print_usage();
-      std::cerr << "gcs_top: --targets is required\n";
-      return 1;
-    }
-    const std::vector<std::string> targets = gcs::split_csv(targets_csv);
     const int interval_ms =
         static_cast<int>(flags.get_int("interval-ms", 1000));
     const int timeout_ms = static_cast<int>(flags.get_int("timeout-ms", 2000));
@@ -395,6 +389,13 @@ int main(int argc, char** argv) {
       expectations.push_back(
           parse_expectation(spec, Expectation::Kind::kClean, "--expect-clean"));
     }
+    flags.reject_unknown();
+    if (targets_csv.empty()) {
+      print_usage();
+      std::cerr << "gcs_top: --targets is required\n";
+      return 1;
+    }
+    const std::vector<std::string> targets = gcs::split_csv(targets_csv);
 
     for (;;) {
       std::vector<Health> healths;
