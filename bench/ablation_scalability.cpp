@@ -126,7 +126,8 @@ void delta_indices() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  reject_unknown_flags(CliFlags(argc, argv), /*accepts_csv=*/false);
   print_header("Ablations",
                "aggregation-path scalability, saturation vs n, footnote-2 "
                "index encoding");

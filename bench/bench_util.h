@@ -299,6 +299,15 @@ inline void print_header(const std::string& artefact,
   bench_json().set("meta", "description", description);
 }
 
+/// Exits 1 naming the first flag the bench never read: a typo must not
+/// silently run a different experiment. Call once every flag the bench
+/// accepts has been read; `accepts_csv` also accepts the --csv flag that
+/// maybe_write_csv reads at the end of the run.
+inline void reject_unknown_flags(const CliFlags& flags, bool accepts_csv) {
+  if (accepts_csv) (void)flags.has("csv");
+  reject_unknown_or_exit(flags);
+}
+
 /// Writes `content` to `path` if --csv was passed; reports the location.
 inline void maybe_write_csv(const CliFlags& flags, const std::string& name,
                             const std::string& content) {

@@ -46,6 +46,7 @@ void summarize(const std::vector<sim::DdpResult>& results,
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Figure 1",
                "TTA of TopKC vs TopK vs baselines (both tasks)");
 

@@ -23,6 +23,7 @@ const std::vector<std::string> kSchemes = {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Figure 2",
                "TTA of THC variants: saturation and partial rotation");
 

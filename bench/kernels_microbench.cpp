@@ -116,18 +116,6 @@ void BM_PackLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_PackLanes)->Args({1 << 18, 2})->Args({1 << 18, 4});
 
-void BM_SatAddLanes(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int32_t> acc(n, 1), in(n, 2);
-  SatStats stats;
-  for (auto _ : state) {
-    sat_add_lanes(acc, in, 8, &stats);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_SatAddLanes)->Arg(1 << 18);
-
 void BM_Orthogonalize(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto r = static_cast<std::size_t>(state.range(1));
@@ -322,6 +310,72 @@ void BM_KernelThcDecodeLanes(benchmark::State& state) {
   set_fp32_bytes(state, n);
 }
 BENCHMARK(BM_KernelThcDecodeLanes)->Arg(0)->Arg(1);
+
+// The collectives' reduce hop (comm/reduce_op.h). Each iteration reduces
+// one payload into the accumulator, alternating an input with its
+// negation so the accumulator stays in range; bytes_per_second counts the
+// payload bytes reduced.
+
+void BM_KernelFp16Sum(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const std::size_t n = 1 << 20;
+  const auto x = random_vec(n, 28);
+  std::vector<std::uint16_t> plus(n), minus(n), acc(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    plus[i] = float_to_half_bits(x[i]);
+    minus[i] = float_to_half_bits(-x[i]);
+  }
+  bool flip = false;
+  for (auto _ : state) {
+    backend->fp16_sum(acc.data(), (flip ? minus : plus).data(), n);
+    flip = !flip;
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(std::uint16_t)));
+}
+BENCHMARK(BM_KernelFp16Sum)->Arg(0)->Arg(1);
+
+void BM_KernelSatAddPacked(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const auto bits = static_cast<unsigned>(state.range(1));
+  const std::size_t nbytes = 1 << 20;
+  const std::size_t lanes = nbytes * (8 / bits);
+  std::vector<std::int32_t> values(lanes), negated(lanes);
+  Rng rng(29);
+  for (std::size_t i = 0; i < lanes; ++i) {
+    // Small centered lanes, as THC's levels are: clips stay rare.
+    values[i] = static_cast<std::int32_t>(rng.next_below(3)) - 1;
+    negated[i] = -values[i];
+  }
+  const ByteBuffer plus = pack_signed_lanes(values, bits);
+  const ByteBuffer minus = pack_signed_lanes(negated, bits);
+  ByteBuffer acc = pack_signed_lanes(std::vector<std::int32_t>(lanes), bits);
+  bool flip = false;
+  std::size_t clips = 0;
+  for (auto _ : state) {
+    clips += backend->sat_add_packed(
+        reinterpret_cast<std::uint8_t*>(acc.data()),
+        reinterpret_cast<const std::uint8_t*>((flip ? minus : plus).data()),
+        nbytes, bits);
+    flip = !flip;
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(clips);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nbytes));
+}
+BENCHMARK(BM_KernelSatAddPacked)
+    ->Args({0, 2})
+    ->Args({1, 2})
+    ->Args({0, 4})
+    ->Args({1, 4})
+    ->Args({0, 8})
+    ->Args({1, 8});
 
 }  // namespace
 

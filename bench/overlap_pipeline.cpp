@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
   using namespace gcs::bench;
 
   CliFlags flags(argc, argv);
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Overlap Pipeline",
                "round time: monolithic vs chunked/overlapped aggregation");
 

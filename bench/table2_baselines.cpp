@@ -24,6 +24,7 @@ constexpr PaperRow kPaper[] = {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Table 2",
                "baseline throughput (rounds/s), training x communication "
                "precision");

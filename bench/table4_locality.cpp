@@ -19,13 +19,14 @@ constexpr double kPaperPerm[] = {0.398, 0.297, 0.123};
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const int rounds = static_cast<int>(flags.get_int("rounds", 4));
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Table 4",
                "vNMSE of TopKC vs TopKC+random-permutation (BERT-like "
                "gradients)");
 
   const auto source = bert_like_gradients();
   const std::size_t d = source.dimension();
-  const int rounds = static_cast<int>(flags.get_int("rounds", 4));
 
   AsciiTable table(
       {"Compression", "b=0.5", "b=2", "b=8", "source"});

@@ -26,6 +26,7 @@ constexpr PaperRows kPaper[] = {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Table 5",
                "throughput (rounds/s): TopK (all-gather) vs TopKC "
                "(all-reduce)");

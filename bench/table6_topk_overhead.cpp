@@ -18,6 +18,7 @@ constexpr double kPaperVgg[] = {0.119, 0.121, 0.082};
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Table 6",
                "TopK compression overhead (% of round time in heavy "
                "components)");

@@ -21,11 +21,12 @@ constexpr double kPaperTopkc[] = {0.273, 0.142, 0.0280};
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const int rounds = static_cast<int>(flags.get_int("rounds", 4));
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Table 7", "vNMSE of TopK vs TopKC (BERT-like gradients)");
 
   const auto source = bert_like_gradients();
   const std::size_t d = source.dimension();
-  const int rounds = static_cast<int>(flags.get_int("rounds", 4));
   const double bits[] = {0.5, 2.0, 8.0};
 
   AsciiTable table({"Compression", "b=0.5", "b=2", "b=8", "source"});

@@ -34,6 +34,7 @@ std::string cell(double v) { return v < 0 ? "N/A" : format_sig(v, 3); }
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Table 8",
                "THC throughput: saturation + rotation ablations vs the "
                "b=8 overflow-headroom baseline");

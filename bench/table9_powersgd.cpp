@@ -24,6 +24,7 @@ constexpr PaperRow kPaper[2][4] = {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  reject_unknown_flags(flags, /*accepts_csv=*/true);
   print_header("Table 9",
                "PowerSGD bits/coordinate and throughput vs rank r");
 

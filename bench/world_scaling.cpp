@@ -156,6 +156,7 @@ int main(int argc, char** argv) {
   const auto payload = static_cast<std::size_t>(
       flags.get_int("payload", quick ? 16384 : 65536));
   const int warmup = static_cast<int>(flags.get_int("warmup", quick ? 1 : 3));
+  reject_unknown_flags(flags, /*accepts_csv=*/false);
 
   print_header("World scaling",
                "Ring rounds/s and I/O threads per rank vs world size on "

@@ -3,6 +3,7 @@
 // reporting the end-to-end utility (the paper's headline metric).
 //
 //   ./build/examples/ddp_image_classifier --scheme=thc:q=4:b=4:sat:partial
+#include <cmath>
 #include <iostream>
 
 #include "common/cli.h"
@@ -23,6 +24,13 @@ int main(int argc, char** argv) {
                  "to run the monolithic pipeline.\n";
     return 0;
   }
+  const std::string sched =
+      flags.get_string("sched", "buckets=layer:workers=2");
+  const int max_rounds = static_cast<int>(flags.get_int("rounds", 4000));
+  const std::string scheme = flags.get_string("scheme", "topkc:b=2");
+  // Default target: 0.02 below the FP16 baseline's best accuracy.
+  const double target_flag = flags.get_double("target", std::nan(""));
+  reject_unknown_or_exit(flags);
 
   train::GaussianMixtureDataset::Config data_config;
   data_config.features = 32;
@@ -35,18 +43,16 @@ int main(int argc, char** argv) {
   // default: the factory builds the layer-bucket plan + encode pool for
   // the value path, and the cost model charges the matching
   // backward<->comm overlap (both from the same spec knobs).
-  const std::string sched =
-      flags.get_string("sched", "buckets=layer:workers=2");
-  auto run = [&](std::string scheme) {
-    if (!sched.empty() && !core::has_scheduler_knobs(scheme)) {
-      scheme += ":" + sched;
+  auto run = [&](std::string spec) {
+    if (!sched.empty() && !core::has_scheduler_knobs(spec)) {
+      spec += ":" + sched;
     }
     sim::DdpConfig config;
-    config.scheme = scheme;
+    config.scheme = spec;
     config.world_size = 4;
     config.hidden = {64};
     config.learning_rate = 0.1;
-    config.max_rounds = static_cast<int>(flags.get_int("rounds", 4000));
+    config.max_rounds = max_rounds;
     config.eval_every = 25;
     config.rolling_window = 6;
     config.patience = 30;
@@ -55,15 +61,15 @@ int main(int argc, char** argv) {
                           sim::CostModel());
   };
 
-  const std::string scheme = flags.get_string("scheme", "topkc:b=2");
   std::cout << "Training classifier proxy (timed as VGG19): FP16 baseline "
                "vs "
             << scheme << "...\n";
   const auto baseline = run("fp16");
   const auto candidate = run(scheme);
 
-  const double target =
-      flags.get_double("target", baseline.best_metric - 0.02);
+  const double target = std::isnan(target_flag)
+                            ? baseline.best_metric - 0.02
+                            : target_flag;
   AsciiTable table({"scheme", "rounds/s", "b", "final acc", "TTA (h)",
                     "buckets", "hidden ms"});
   for (const auto* r : {&baseline, &candidate}) {

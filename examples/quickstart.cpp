@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/table.h"
 #include "core/compressor.h"
 #include "core/factory.h"
@@ -15,8 +16,9 @@
 #include "core/vnmse.h"
 #include "tensor/layout.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace gcs;
+  reject_unknown_or_exit(CliFlags(argc, argv));  // takes no flags
 
   // 1. A cluster of 4 workers with ~260k-parameter transformer-shaped
   //    gradients (synthetic, seeded — see core/synthetic_grad.h).

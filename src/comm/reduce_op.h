@@ -8,6 +8,12 @@
 //   * FP32 min / max (the range- and norm-consensus rounds of THC / TopKC),
 //   * saturating signed q-bit integer addition (THC's Sat operator).
 //
+// The element loops run on the kernel backend (kernels/kernels.h):
+// Backend::add for FP32 sum, fp16_sum for FP16 sum and sat_add_packed for
+// the saturating add, which works on the packed wire lanes in place. Each
+// hop is one allocation-free SIMD pass where the host supports AVX2, and
+// the bytes are identical on either backend.
+//
 // `granularity()` is the byte alignment a collective must respect when it
 // splits a payload into blocks (ring all-reduce): an FP32 element must not
 // straddle blocks, and packed q-bit lanes split on byte boundaries (all

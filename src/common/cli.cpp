@@ -1,6 +1,7 @@
 #include "common/cli.h"
 
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 
 #include "common/check.h"
@@ -15,16 +16,19 @@ CliFlags::CliFlags(int argc, const char* const* argv) {
       continue;
     }
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
+      positional_[i] = std::move(arg);
       continue;
     }
     std::string body = arg.substr(2);
     const auto eq = body.find('=');
     if (eq != std::string::npos) {
+      spaced_.erase(body.substr(0, eq));
       values_[body.substr(0, eq)] = body.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      spaced_[body] = i + 1;
       values_[body] = argv[++i];
     } else {
+      spaced_.erase(body);
       values_[body] = "true";  // bare flag == boolean true
     }
   }
@@ -80,7 +84,31 @@ bool CliFlags::get_bool(const std::string& name, bool fallback) const {
   if (!v) return fallback;
   if (*v == "true" || *v == "1" || *v == "yes") return true;
   if (*v == "false" || *v == "0" || *v == "no") return false;
+  const auto spaced = spaced_.find(name);
+  if (spaced != spaced_.end()) {
+    // "--gate trace.json": a bare boolean followed by a positional.
+    positional_[spaced->second] = *v;
+    spaced_.erase(spaced);
+    values_[name] = "true";
+    return true;
+  }
   throw Error("flag --" + name + " expects a boolean, got '" + *v + "'");
+}
+
+std::vector<std::string> CliFlags::positional() const {
+  std::vector<std::string> out;
+  out.reserve(positional_.size());
+  for (const auto& [index, token] : positional_) out.push_back(token);
+  return out;
+}
+
+void reject_unknown_or_exit(const CliFlags& flags) {
+  try {
+    flags.reject_unknown();
+  } catch (const Error& e) {
+    std::cerr << e.what() << '\n';
+    std::exit(1);
+  }
 }
 
 std::vector<std::string> split_csv(const std::string& text) {

@@ -1,9 +1,13 @@
 // Minimal --key=value command-line parsing for benches and examples.
 //
 // Deliberately tiny: flags are "--name=value" or "--name value"; "--help"
-// prints registered flags. Unknown flags throw from reject_unknown() (a
-// typo silently changing an experiment's parameters is the failure mode we
-// care about): a binary reads every flag it accepts, then calls it once.
+// prints registered flags. A bare "--name" is boolean true. The parser
+// cannot know which flags are boolean, so "--name token" is resolved when
+// the flag is read: get_bool() on a token that is not a boolean literal
+// reads true and hands the token back to positional(). Unknown flags throw
+// from reject_unknown() (a typo silently changing an experiment's
+// parameters is the failure mode we care about): a binary reads every flag
+// it accepts, then calls it once.
 #pragma once
 
 #include <cstdint>
@@ -36,19 +40,26 @@ class CliFlags {
   /// True when --help was passed; callers should print usage and exit 0.
   bool help_requested() const noexcept { return help_; }
 
-  /// Positional (non-flag) arguments in order.
-  const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
+  /// Positional (non-flag) arguments in order. Read boolean flags first:
+  /// "--gate file" only yields "file" here once get_bool("gate") ran.
+  std::vector<std::string> positional() const;
 
  private:
   std::optional<std::string> lookup(const std::string& name) const;
 
-  std::map<std::string, std::string> values_;
+  mutable std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;  ///< names queried so far
-  std::vector<std::string> positional_;
+  /// Flags given as "--name token" -> argv index of the token.
+  mutable std::map<std::string, int> spaced_;
+  /// Positional tokens keyed by argv index (keeps command-line order when
+  /// get_bool() hands a token back).
+  mutable std::map<int, std::string> positional_;
   bool help_ = false;
 };
+
+/// reject_unknown() for a main(): prints the error to stderr and exits 1
+/// when a passed flag was never read.
+void reject_unknown_or_exit(const CliFlags& flags);
 
 /// Splits a comma-separated flag value ("a,b,c"); empty tokens are
 /// dropped. The shape every list-valued --flag in the tools uses.

@@ -139,6 +139,43 @@ std::size_t collect_ge_scalar(const float* x, std::size_t n, float t,
   return count;
 }
 
+void fp16_sum_scalar(std::uint16_t* acc, const std::uint16_t* in,
+                     std::size_t n) {
+  // Add in FP32, round back to FP16: GPU accumulator semantics. This
+  // per-hop rounding is exactly the FP16 baseline's aggregation error.
+  for (std::size_t i = 0; i < n; ++i) {
+    acc[i] = float_to_half_bits(half_bits_to_float(acc[i]) +
+                                half_bits_to_float(in[i]));
+  }
+}
+
+std::size_t sat_add_packed_scalar(std::uint8_t* acc, const std::uint8_t* in,
+                                  std::size_t nbytes, unsigned bits) {
+  // Offset-binary lanes r = v + 2^{b-1}: Sat(va, vb) stored offset-binary
+  // is ra + rb - 2^{b-1} clamped to [0, 2^b - 1], so no lane ever needs
+  // widening to a signed int32 vector.
+  const int half = 1 << (bits - 1);
+  const int top = (1 << bits) - 1;
+  std::size_t clips = 0;
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    unsigned out = 0;
+    for (unsigned shift = 0; shift < 8; shift += bits) {
+      int sum = static_cast<int>((acc[i] >> shift) & top) +
+                static_cast<int>((in[i] >> shift) & top) - half;
+      if (sum < 0) {
+        sum = 0;
+        ++clips;
+      } else if (sum > top) {
+        sum = top;
+        ++clips;
+      }
+      out |= static_cast<unsigned>(sum) << shift;
+    }
+    acc[i] = static_cast<std::uint8_t>(out);
+  }
+  return clips;
+}
+
 constexpr Backend kScalar = {
     "scalar",
     fp32_to_fp16_scalar,
@@ -154,6 +191,8 @@ constexpr Backend kScalar = {
     abs_scalar,
     count_gt_scalar,
     collect_ge_scalar,
+    fp16_sum_scalar,
+    sat_add_packed_scalar,
 };
 
 const Backend& default_backend() noexcept {

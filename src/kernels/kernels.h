@@ -1,8 +1,9 @@
 // Single-pass encode kernels with swappable backends.
 //
 // Every codec hot loop — fp32->fp16 conversion, stochastic quantization +
-// bit packing, Hadamard butterflies, TopK threshold select — funnels
-// through this narrow interface (Vitis-streaming-kernel style: flat
+// bit packing, Hadamard butterflies, TopK threshold select — and every
+// collective reduce hop (comm/reduce_op.h: fp32/fp16 sum, saturating
+// packed-lane add) funnels through this narrow interface (Vitis-streaming-kernel style: flat
 // pointer + count, no allocation, no virtual dispatch inside the loop). A
 // scalar reference backend defines the semantics; an AVX2 backend is
 // selected at runtime via CPUID when the host supports it.
@@ -99,6 +100,20 @@ struct Backend {
   /// out must have room for n entries.
   std::size_t (*collect_ge)(const float* x, std::size_t n, float t,
                             std::uint32_t* out);
+
+  /// FP16 reduce hop, in place:
+  /// acc[i] = float_to_half_bits(half_bits_to_float(acc[i]) +
+  ///                             half_bits_to_float(in[i])).
+  void (*fp16_sum)(std::uint16_t* acc, const std::uint16_t* in,
+                   std::size_t n);
+
+  /// Saturating reduce hop over packed offset-binary `bits`-bit lanes
+  /// (LSB-first, bits in {2, 4, 8}), in place: every lane of acc becomes
+  /// Sat(acc, in) (quant/satint.h). Returns the number of lane additions
+  /// that hit a saturation bound. Bit-identical to unpack_signed_lanes ->
+  /// sat_add_lanes -> pack_signed_lanes over nbytes * 8 / bits lanes.
+  std::size_t (*sat_add_packed)(std::uint8_t* acc, const std::uint8_t* in,
+                                std::size_t nbytes, unsigned bits);
 };
 
 /// The scalar reference backend (always available; defines the semantics).

@@ -447,6 +447,110 @@ std::size_t collect_ge_avx2(const float* x, std::size_t n, float t,
   return count;
 }
 
+void fp16_sum_avx2(std::uint16_t* acc, const std::uint16_t* in,
+                   std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i a =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
+    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
+    if (any_half_inf_nan(a) || any_half_inf_nan(b)) {
+      // VCVTPH2PS quietens signaling NaNs, and which NaN operand an add
+      // propagates is up to the compiler: the reference decides both.
+      scalar().fp16_sum(acc + i, in + i, 8);
+      continue;
+    }
+    // Finite halves widen exactly, their FP32 sum cannot be NaN, and
+    // VCVTPS2PH rounds it (overflow to Inf included) as numeric/half does.
+    const __m256 sum = _mm256_add_ps(_mm256_cvtph_ps(a), _mm256_cvtph_ps(b));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(acc + i),
+        _mm256_cvtps_ph(sum, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  }
+  scalar().fp16_sum(acc + i, in + i, n - i);
+}
+
+/// Saturating packed-lane add over whole 32-byte vectors for one lane
+/// width; returns the byte count it covered (the caller finishes the tail)
+/// and adds its clip count to *clips.
+template <unsigned kBits>
+std::size_t sat_add_packed_vectors(std::uint8_t* acc, const std::uint8_t* in,
+                                   std::size_t nbytes, std::size_t* clips) {
+  // Clip events tally per byte lane (at most 8/kBits <= 4 per vector), and
+  // fold into 64-bit sums every 63 vectors, before a byte lane can wrap.
+  constexpr unsigned kFoldEvery = 63;
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i tally = zero;
+  __m256i sums = zero;
+  unsigned pending = 0;
+  std::size_t i = 0;
+  for (; i + 32 <= nbytes; i += 32) {
+    const __m256i a =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
+    __m256i out;
+    if constexpr (kBits == 8) {
+      // Flipping the top bit turns offset-binary into two's complement,
+      // where vpaddsb is Sat itself; it clipped where it differs from the
+      // wrapping add.
+      const __m256i flip = _mm256_set1_epi8(static_cast<char>(0x80));
+      const __m256i sa = _mm256_xor_si256(a, flip);
+      const __m256i sb = _mm256_xor_si256(b, flip);
+      const __m256i sat = _mm256_adds_epi8(sa, sb);
+      const __m256i exact = _mm256_cmpeq_epi8(sat, _mm256_add_epi8(sa, sb));
+      tally = _mm256_sub_epi8(
+          tally, _mm256_xor_si256(exact, _mm256_cmpeq_epi8(zero, zero)));
+      out = _mm256_xor_si256(sat, flip);
+    } else {
+      // Per field: ra + rb <= 2^{b+1} - 2 fits a byte; the offset-binary
+      // Sat is that sum minus 2^{b-1}, clamped to [0, 2^b - 1].
+      const __m256i mask = _mm256_set1_epi8((1 << kBits) - 1);
+      const __m256i half = _mm256_set1_epi8(1 << (kBits - 1));
+      const __m256i high = _mm256_set1_epi8(3 * (1 << (kBits - 1)) - 1);
+      out = zero;
+      for (unsigned shift = 0; shift < 8; shift += kBits) {
+        const __m128i count = _mm_cvtsi32_si128(static_cast<int>(shift));
+        const __m256i sum = _mm256_add_epi8(
+            _mm256_and_si256(_mm256_srl_epi16(a, count), mask),
+            _mm256_and_si256(_mm256_srl_epi16(b, count), mask));
+        const __m256i lane =
+            _mm256_min_epu8(_mm256_subs_epu8(sum, half), mask);
+        tally = _mm256_sub_epi8(
+            tally, _mm256_or_si256(_mm256_cmpgt_epi8(half, sum),
+                                   _mm256_cmpgt_epi8(sum, high)));
+        // lane < 2^kBits and shift + kBits <= 8: stays inside its byte.
+        out = _mm256_or_si256(out, _mm256_sll_epi16(lane, count));
+      }
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), out);
+    if (++pending == kFoldEvery) {
+      sums = _mm256_add_epi64(sums, _mm256_sad_epu8(tally, zero));
+      tally = zero;
+      pending = 0;
+    }
+  }
+  sums = _mm256_add_epi64(sums, _mm256_sad_epu8(tally, zero));
+  alignas(32) std::uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), sums);
+  *clips += static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+  return i;
+}
+
+std::size_t sat_add_packed_avx2(std::uint8_t* acc, const std::uint8_t* in,
+                                std::size_t nbytes, unsigned bits) {
+  std::size_t clips = 0;
+  std::size_t done = 0;
+  switch (bits) {
+    case 2: done = sat_add_packed_vectors<2>(acc, in, nbytes, &clips); break;
+    case 4: done = sat_add_packed_vectors<4>(acc, in, nbytes, &clips); break;
+    case 8: done = sat_add_packed_vectors<8>(acc, in, nbytes, &clips); break;
+    default: break;
+  }
+  return clips + scalar().sat_add_packed(acc + done, in + done,
+                                         nbytes - done, bits);
+}
+
 constexpr Backend kAvx2 = {
     "avx2",
     fp32_to_fp16_avx2,
@@ -462,6 +566,8 @@ constexpr Backend kAvx2 = {
     abs_avx2,
     count_gt_avx2,
     collect_ge_avx2,
+    fp16_sum_avx2,
+    sat_add_packed_avx2,
 };
 
 }  // namespace

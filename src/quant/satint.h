@@ -73,11 +73,4 @@ std::vector<std::int32_t> unpack_signed_lanes(std::span<const std::byte> data,
                                               std::size_t count,
                                               unsigned bits);
 
-/// Saturated reduction directly on packed wire payloads: unpack both sides,
-/// Sat lane-wise, repack into `acc`. This is the exact operation an
-/// intermediate all-reduce hop performs on THC traffic.
-void sat_reduce_packed(ByteBuffer& acc, std::span<const std::byte> in,
-                       std::size_t lane_count, unsigned bits,
-                       SatStats* stats);
-
 }  // namespace gcs

@@ -104,6 +104,38 @@ TEST(Cli, Positional) {
   EXPECT_EQ(flags.positional()[0], "file.csv");
 }
 
+TEST(Cli, BareBooleanBeforePositionalKeepsThePositional) {
+  // "gcs_analyze --gate trace.json": the token after a bare boolean is a
+  // positional, not the flag's value.
+  const char* argv[] = {"prog", "a.json", "--gate", "trace.json", "--x=1"};
+  CliFlags flags(5, argv);
+  EXPECT_TRUE(flags.get_bool("gate", false));
+  EXPECT_EQ(flags.get_int("x", 0), 1);
+  EXPECT_NO_THROW(flags.reject_unknown());
+  EXPECT_EQ(flags.positional(),
+            (std::vector<std::string>{"a.json", "trace.json"}));
+  EXPECT_TRUE(flags.get_bool("gate", false));  // stable on a second read
+  EXPECT_EQ(flags.positional().size(), 2u);
+}
+
+TEST(Cli, BareBooleanAfterPositional) {
+  const char* argv[] = {"prog", "trace.json", "--gate"};
+  CliFlags flags(3, argv);
+  EXPECT_TRUE(flags.get_bool("gate", false));
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"trace.json"}));
+}
+
+TEST(Cli, SpacedBooleanLiteralStaysTheValue) {
+  const char* argv[] = {"prog", "--gate", "false", "trace.json"};
+  CliFlags flags(4, argv);
+  EXPECT_FALSE(flags.get_bool("gate", true));
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"trace.json"}));
+  // "--name=value" never hands its value back.
+  const char* eq_argv[] = {"prog", "--gate=maybe"};
+  CliFlags eq_flags(2, eq_argv);
+  EXPECT_THROW(eq_flags.get_bool("gate", false), Error);
+}
+
 TEST(Cli, RejectUnknownNamesTheUnreadFlag) {
   // A typo (--elastc) or a retired knob must not silently run a different
   // experiment.

@@ -246,6 +246,117 @@ TEST(Kernels, AddCrossBackend) {
   }
 }
 
+/// The legacy Fp16Sum hop: add in FP32, round back to FP16.
+std::uint16_t fp16_sum_reference(std::uint16_t a, std::uint16_t b) {
+  return float_to_half_bits(half_bits_to_float(a) + half_bits_to_float(b));
+}
+
+TEST(Kernels, Fp16SumCrossBackend) {
+  // Addends covering every special case of the hop: signed zeros,
+  // denormals, the normal/denormal boundary, values whose sum overflows
+  // to Inf (or rounds to it on a tie), infinities and quiet/signaling
+  // NaNs. Together with all 2^16 accumulators this puts a NaN in either
+  // operand and in both.
+  const std::vector<std::uint16_t> addends = {
+      0x0000, 0x8000, 0x0001, 0x8001, 0x03FF, 0x83FF, 0x0400, 0x8400,
+      0x3C00, 0xBC00, 0x3555, 0x7BFF, 0xFBFF, 0x7800, 0xF800, 0x7BFE,
+      0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7C01, 0xFC01, 0x7DFF, 0x7FFF};
+  const std::size_t n = std::size_t{1} << 16;
+  std::vector<std::uint16_t> acc0(n), in(n), ref(n);
+  for (std::size_t i = 0; i < n; ++i) acc0[i] = static_cast<std::uint16_t>(i);
+  // Rotating the addends across the lanes meets every accumulator with
+  // every addend, and mixes special and finite lanes inside each vector.
+  for (std::size_t r = 0; r < addends.size(); ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      in[i] = addends[(i + r) % addends.size()];
+      ref[i] = fp16_sum_reference(acc0[i], in[i]);
+    }
+    std::vector<std::uint16_t> got = acc0;
+    kernels::scalar().fp16_sum(got.data(), in.data(), n);
+    ASSERT_EQ(got, ref) << "scalar, rotation " << r;
+    if (have_avx2()) {
+      got = acc0;
+      kernels::avx2().fp16_sum(got.data(), in.data(), n);
+      ASSERT_EQ(got, ref) << "avx2, rotation " << r;
+    }
+  }
+  EXPECT_EQ(fp16_sum_reference(0x7BFF, 0x7BFF), 0x7C00);  // overflow -> Inf
+  EXPECT_EQ(fp16_sum_reference(0x8000, 0x8000), 0x8000);  // -0 + -0 = -0
+
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  // Runt lengths and unaligned starts hit the scalar tail of the
+  // vectorized loop.
+  Rng rng(93);
+  std::vector<std::uint16_t> a(40), b(40);
+  for (auto& v : a) v = static_cast<std::uint16_t>(rng.next_u32());
+  for (auto& v : b) v = static_cast<std::uint16_t>(rng.next_u32());
+  b[3] = 0x7C01;  // a NaN lane inside the runs
+  for (std::size_t len = 1; len <= 17; ++len) {
+    for (std::size_t off : {0u, 1u, 3u}) {
+      std::vector<std::uint16_t> x = a, y = a;
+      kernels::scalar().fp16_sum(x.data() + off, b.data() + off, len);
+      kernels::avx2().fp16_sum(y.data() + off, b.data() + off, len);
+      ASSERT_EQ(x, y) << "n=" << len << " offset=" << off;
+    }
+  }
+}
+
+/// The legacy SatIntSum hop: unpack both sides into int32 lanes, Sat
+/// lane-wise, repack.
+std::size_t sat_add_packed_reference(ByteBuffer& acc, const ByteBuffer& in,
+                                     unsigned bits) {
+  const std::size_t lanes = acc.size() * (8 / bits);
+  auto a = unpack_signed_lanes(acc, lanes, bits);
+  const auto b = unpack_signed_lanes(in, lanes, bits);
+  SatStats stats;
+  sat_add_lanes(a, b, bits, &stats);
+  acc = pack_signed_lanes(a, bits);
+  return static_cast<std::size_t>(stats.clips);
+}
+
+TEST(Kernels, SatAddPackedCrossBackendExhaustive) {
+  // Every (acc, in) byte pair: all lane-value combinations of every lane
+  // width, and 2048 vectors, enough to fold the per-byte clip tally.
+  const std::size_t n = std::size_t{1} << 16;
+  ByteBuffer acc0(n), in(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    acc0[k] = static_cast<std::byte>(k & 0xFFu);
+    in[k] = static_cast<std::byte>(k >> 8);
+  }
+  auto* in_u8 = reinterpret_cast<const std::uint8_t*>(in.data());
+  for (unsigned bits : {2u, 4u, 8u}) {
+    ByteBuffer ref = acc0;
+    const std::size_t ref_clips = sat_add_packed_reference(ref, in, bits);
+    EXPECT_GT(ref_clips, 0u);
+    ByteBuffer got = acc0;
+    EXPECT_EQ(kernels::scalar().sat_add_packed(
+                  reinterpret_cast<std::uint8_t*>(got.data()), in_u8, n, bits),
+              ref_clips)
+        << "scalar b=" << bits;
+    ASSERT_EQ(got, ref) << "scalar b=" << bits;
+    if (!have_avx2()) continue;
+    got = acc0;
+    EXPECT_EQ(kernels::avx2().sat_add_packed(
+                  reinterpret_cast<std::uint8_t*>(got.data()), in_u8, n, bits),
+              ref_clips)
+        << "avx2 b=" << bits;
+    ASSERT_EQ(got, ref) << "avx2 b=" << bits;
+    // Runt lengths and unaligned starts hit the scalar tail.
+    for (std::size_t len = 1; len <= 70; ++len) {
+      const std::size_t off = (len * 37) % 1000;
+      ByteBuffer x = acc0, y = acc0;
+      const std::size_t cx = kernels::scalar().sat_add_packed(
+          reinterpret_cast<std::uint8_t*>(x.data()) + off, in_u8 + off, len,
+          bits);
+      const std::size_t cy = kernels::avx2().sat_add_packed(
+          reinterpret_cast<std::uint8_t*>(y.data()) + off, in_u8 + off, len,
+          bits);
+      ASSERT_EQ(cx, cy) << "b=" << bits << " n=" << len;
+      ASSERT_EQ(x, y) << "b=" << bits << " n=" << len;
+    }
+  }
+}
+
 /// The sequential fold min_max is contractually pinned to.
 void min_max_reference(const std::vector<float>& x, float* lo, float* hi) {
   float mn = x[0], mx = x[0];

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -451,8 +453,18 @@ TEST(ReactorFuzz, BackpressuredQueueCoalescesFramesPerWritev) {
     EXPECT_EQ(payload.size(), 16u);
   }
 
-  const Reactor::Stats s = reactor.stats();
-  EXPECT_EQ(s.frames_flushed, static_cast<std::uint64_t>(kSmallFrames) + 1);
+  // The last bytes reach the peer inside the reactor's writev, before the
+  // loop thread bumps its counters: wait (bounded) for the final tally.
+  const auto expected_frames = static_cast<std::uint64_t>(kSmallFrames) + 1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  Reactor::Stats s = reactor.stats();
+  while (s.frames_flushed < expected_frames &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    s = reactor.stats();
+  }
+  EXPECT_EQ(s.frames_flushed, expected_frames);
   // The backlog of small frames coalesced: far fewer writev calls than
   // frames. (The plug itself may take several partial writevs; even
   // charging all of those, 300 queued frames must not cost 300 flushes.)
