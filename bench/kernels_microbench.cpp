@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -376,6 +377,87 @@ BENCHMARK(BM_KernelSatAddPacked)
     ->Args({1, 4})
     ->Args({0, 8})
     ->Args({1, 8});
+
+// PowerSGD's low-rank products at the bench's layer shapes (rows x cols
+// of M, rank r = 4; about 6% exact zeros in M, as in the products'
+// skipped operand). bytes_per_second counts the M-sized side: M read for
+// P = M Q and Q = M^T P, M_hat written for P Q^T.
+
+constexpr std::size_t kLowRank = 4;
+
+std::vector<float> low_rank_input(std::size_t n, std::uint64_t seed) {
+  auto x = random_vec(n, seed);
+  Rng rng(seed + 1);
+  for (auto& v : x) {
+    if (rng.next_below(16) == 0) v = 0.0f;
+  }
+  return x;
+}
+
+void set_matrix_bytes(benchmark::State& state, std::size_t rows,
+                      std::size_t cols) {
+  set_fp32_bytes(state, rows * cols);
+}
+
+void BM_KernelLowRankMul(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const auto rows = static_cast<std::size_t>(state.range(1));
+  const auto cols = static_cast<std::size_t>(state.range(2));
+  const auto m = low_rank_input(rows * cols, 31);
+  const auto q = random_vec(cols * kLowRank, 32);
+  std::vector<float> p(rows * kLowRank);
+  for (auto _ : state) {
+    backend->matmul(m.data(), q.data(), rows, cols, kLowRank, p.data());
+    benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
+  }
+  set_matrix_bytes(state, rows, cols);
+}
+
+void BM_KernelLowRankMulT(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const auto rows = static_cast<std::size_t>(state.range(1));
+  const auto cols = static_cast<std::size_t>(state.range(2));
+  const auto m = low_rank_input(rows * cols, 33);
+  const auto p = random_vec(rows * kLowRank, 34);
+  std::vector<float> q(cols * kLowRank);
+  for (auto _ : state) {
+    backend->matmul_at(m.data(), p.data(), cols, rows, kLowRank, q.data());
+    benchmark::DoNotOptimize(q.data());
+    benchmark::ClobberMemory();
+  }
+  set_matrix_bytes(state, rows, cols);
+}
+
+void BM_KernelLowRankOuter(benchmark::State& state) {
+  const auto* backend = backend_arg(state);
+  if (backend == nullptr) return;
+  const auto rows = static_cast<std::size_t>(state.range(1));
+  const auto cols = static_cast<std::size_t>(state.range(2));
+  const auto p = random_vec(rows * kLowRank, 35);
+  const auto q = random_vec(cols * kLowRank, 36);
+  std::vector<float> m_hat(rows * cols);
+  for (auto _ : state) {
+    backend->matmul_bt(p.data(), q.data(), rows, kLowRank, cols,
+                       m_hat.data());
+    benchmark::DoNotOptimize(m_hat.data());
+    benchmark::ClobberMemory();
+  }
+  set_matrix_bytes(state, rows, cols);
+}
+
+void low_rank_shapes(benchmark::internal::Benchmark* b) {
+  for (const auto& shape : {std::pair{256, 768}, std::pair{1024, 256}}) {
+    for (int backend : {0, 1}) {
+      b->Args({backend, shape.first, shape.second});
+    }
+  }
+}
+BENCHMARK(BM_KernelLowRankMul)->Apply(low_rank_shapes);
+BENCHMARK(BM_KernelLowRankMulT)->Apply(low_rank_shapes);
+BENCHMARK(BM_KernelLowRankOuter)->Apply(low_rank_shapes);
 
 }  // namespace
 

@@ -114,7 +114,11 @@ class CodecRound {
 };
 
 /// Cluster-wide codec state of one scheme. Owns whatever must persist
-/// across rounds; stateless between begin_round() calls otherwise.
+/// across rounds, and may keep scratch buffers that its rounds reuse, so
+/// at most one session per codec is live: begin_round() must not be
+/// called again until the previous session is destroyed (PowerSGD checks
+/// this and throws). Independent rounds need independent codecs (e.g.
+/// remap_workers clones).
 class SchemeCodec {
  public:
   virtual ~SchemeCodec() = default;
@@ -132,6 +136,7 @@ class SchemeCodec {
   /// Opens the round session. `grads[i]` is worker i's local gradient (all
   /// size dimension()); `round` indexes shared randomness. The spans must
   /// outlive the returned session.
+  /// One session at a time (see the class comment).
   virtual std::unique_ptr<CodecRound> begin_round(
       std::span<const std::span<const float>> grads, std::uint64_t round) = 0;
 

@@ -30,12 +30,14 @@ void ErrorFeedback::compensate(int worker, std::span<const float> grad,
   kernels::active().add(grad.data(), m.data(), dimension_, y.data());
 }
 
-void ErrorFeedback::absorb(int worker, std::span<const float> y,
-                           std::span<const float> contribution) {
+void ErrorFeedback::absorb(int worker, std::size_t offset,
+                           std::span<const float> y,
+                           std::span<const float> sent, float scale) {
   if (!enabled_) return;
-  GCS_CHECK(y.size() == dimension_ && contribution.size() == dimension_);
-  auto& m = memories_[static_cast<std::size_t>(worker)];
-  for (std::size_t i = 0; i < dimension_; ++i) m[i] = y[i] - contribution[i];
+  GCS_CHECK(sent.size() == y.size() && offset <= dimension_ &&
+            y.size() <= dimension_ - offset);
+  float* m = memories_[static_cast<std::size_t>(worker)].data() + offset;
+  for (std::size_t i = 0; i < y.size(); ++i) m[i] = y[i] - sent[i] * scale;
 }
 
 void ErrorFeedback::absorb_masked(int worker, std::span<const float> y,

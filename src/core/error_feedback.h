@@ -33,9 +33,14 @@ class ErrorFeedback {
   void compensate(int worker, std::span<const float> grad,
                   std::span<float> y) const;
 
-  /// Stores m_i' = y - contribution. No-op when disabled.
-  void absorb(int worker, std::span<const float> y,
-              std::span<const float> contribution);
+  /// Stores m_i' = y - sent * scale over the slice
+  /// [offset, offset + y.size()): m_i'[offset + j] = y[j] - sent[j] * scale.
+  /// The contribution is formed on the fly, so a scheme whose contribution
+  /// is a scaled shared estimate (PowerSGD's reconstruction / n) needs no
+  /// d-sized temporary; scale 1 stores y - sent exactly. No-op when
+  /// disabled.
+  void absorb(int worker, std::size_t offset, std::span<const float> y,
+              std::span<const float> sent, float scale);
 
   /// Variant used when only selected coordinates were transmitted:
   /// m_i'[j] = 0 for transmitted j (exactly what was sent was y[j]),

@@ -34,6 +34,19 @@ void get_fp16(const ByteBuffer& buf, std::size_t offset,
       out.size(), out.data());
 }
 
+/// Buffers a round fills, owned by the codec so that steady-state rounds
+/// allocate nothing but their payloads. Every round rewrites each buffer
+/// before reading it, and only finish() touches cross-round state, so a
+/// dropped round leaves nothing behind. Two live rounds would share them,
+/// so begin_round() refuses a second one (the SchemeCodec contract).
+struct PowerSgdBuffers {
+  std::vector<std::vector<float>> ys;       ///< per worker: EF-compensated y
+  std::vector<std::vector<float>> factor;   ///< per worker: one layer's P or Q
+  std::vector<std::vector<float>> p_hats;   ///< per layer: orthonormal P sum
+  std::vector<std::vector<float>> q_sums;   ///< per layer: reduced Q sum
+  std::vector<std::vector<float>> dense_sums;  ///< per dense layer: sum
+};
+
 class PowerSgdCodec;
 
 /// Two dependent FP16 all-reduce stages: phase A carries P = M Q per
@@ -43,6 +56,7 @@ class PowerSgdRound final : public CodecRound {
  public:
   PowerSgdRound(PowerSgdCodec& codec,
                 std::span<const std::span<const float>> grads);
+  ~PowerSgdRound() override;
 
   bool next_stage(WireStage& stage) override;
   ByteBuffer encode(int worker) override;
@@ -53,12 +67,8 @@ class PowerSgdRound final : public CodecRound {
   enum Stage { kPhaseA = 0, kPhaseB = 1, kDone = 2 };
 
   PowerSgdCodec& codec_;
+  PowerSgdBuffers& buffers_;
   int stage_ = kPhaseA;
-  bool any_low_rank_ = false;
-  std::vector<std::vector<float>> ys_;
-  std::vector<std::vector<float>> p_hats_;
-  std::vector<std::vector<float>> dense_sums_;
-  ByteBuffer reduced_b_;
 };
 
 class PowerSgdCodec final : public SchemeCodec {
@@ -76,8 +86,14 @@ class PowerSgdCodec final : public SchemeCodec {
       if (is_low_rank(layer)) {
         states_.push_back(PowerSgdLayerState::init(layer.rows, layer.cols,
                                                    config_.rank, rng));
+        const PowerSgdLayerState& st = states_.back();
+        phase_a_bytes_ += layer.rows * st.rank * 2;
+        phase_b_bytes_ += layer.cols * st.rank * 2;
+        max_factor_ =
+            std::max(max_factor_, std::max(layer.rows, layer.cols) * st.rank);
       } else {
         states_.push_back(PowerSgdLayerState{});  // dense-exact layer
+        phase_a_bytes_ += layer.size() * 2;
       }
     }
   }
@@ -96,7 +112,11 @@ class PowerSgdCodec final : public SchemeCodec {
   std::unique_ptr<CodecRound> begin_round(
       std::span<const std::span<const float>> grads,
       std::uint64_t /*round*/) override {
-    return std::make_unique<PowerSgdRound>(*this, grads);
+    GCS_CHECK_MSG(!round_live_,
+                  "PowerSGD codec already has a live round; drop it first");
+    auto round = std::make_unique<PowerSgdRound>(*this, grads);
+    round_live_ = true;
+    return round;
   }
 
   void reset() override {
@@ -133,6 +153,35 @@ class PowerSgdCodec final : public SchemeCodec {
   ErrorFeedback& ef() noexcept { return ef_; }
   const comm::ReduceOp& fp16_sum() const noexcept { return *fp16_sum_; }
   std::vector<PowerSgdLayerState>& states() noexcept { return states_; }
+  bool any_low_rank() const noexcept { return phase_b_bytes_ != 0; }
+  std::size_t stage_bytes(bool phase_a) const noexcept {
+    return phase_a ? phase_a_bytes_ : phase_b_bytes_;
+  }
+
+  /// Called by the live round's destructor.
+  void end_round() noexcept { round_live_ = false; }
+
+  /// The round buffers, sized on first use and kept across rounds.
+  PowerSgdBuffers& round_buffers() {
+    const auto n = static_cast<std::size_t>(config_.world_size);
+    if (buffers_.ys.size() != n) {
+      buffers_.ys.assign(n, std::vector<float>(dimension()));
+      buffers_.factor.assign(n, std::vector<float>(max_factor_));
+      buffers_.p_hats.resize(states_.size());
+      buffers_.q_sums.resize(states_.size());
+      buffers_.dense_sums.resize(states_.size());
+      for (std::size_t l = 0; l < states_.size(); ++l) {
+        const auto& layer = config_.layout.layer(l);
+        if (states_[l].rank == 0) {
+          buffers_.dense_sums[l].resize(layer.size());
+        } else {
+          buffers_.p_hats[l].resize(layer.rows * states_[l].rank);
+          buffers_.q_sums[l].resize(layer.cols * states_[l].rank);
+        }
+      }
+    }
+    return buffers_;
+  }
 
   bool is_low_rank(const LayerSpec& layer) const noexcept {
     // Layers whose smaller side does not exceed r are cheaper to send
@@ -155,31 +204,29 @@ class PowerSgdCodec final : public SchemeCodec {
   ErrorFeedback ef_;
   std::unique_ptr<comm::ReduceOp> fp16_sum_;
   std::vector<PowerSgdLayerState> states_;
+  std::size_t phase_a_bytes_ = 0;
+  std::size_t phase_b_bytes_ = 0;
+  std::size_t max_factor_ = 0;  ///< largest per-layer P or Q, in floats
+  PowerSgdBuffers buffers_;
+  bool round_live_ = false;  ///< a PowerSgdRound holds buffers_
 };
 
 PowerSgdRound::PowerSgdRound(PowerSgdCodec& codec,
                              std::span<const std::span<const float>> grads)
-    : codec_(codec) {
-  const auto& config = codec_.config();
-  const std::size_t d = config.layout.total_size();
-  const auto n = static_cast<std::size_t>(config.world_size);
+    : codec_(codec), buffers_(codec.round_buffers()) {
+  const auto n = static_cast<std::size_t>(codec_.world_size());
   GCS_CHECK(grads.size() == n);
-
-  for (const auto& state : codec_.states()) {
-    if (state.rank != 0) any_low_rank_ = true;
-  }
-
   // EF compensation.
-  ys_.assign(n, std::vector<float>(d));
   for (std::size_t w = 0; w < n; ++w) {
-    GCS_CHECK(grads[w].size() == d);
-    codec_.ef().compensate(static_cast<int>(w), grads[w], ys_[w]);
+    GCS_CHECK(grads[w].size() == codec_.dimension());
+    codec_.ef().compensate(static_cast<int>(w), grads[w], buffers_.ys[w]);
   }
 }
 
+PowerSgdRound::~PowerSgdRound() { codec_.end_round(); }
+
 bool PowerSgdRound::next_stage(WireStage& stage) {
   if (stage_ >= kDone) return false;
-  if (stage_ == kPhaseB && !any_low_rank_) return false;
   stage = WireStage{};
   stage.route = AggregationPath::kAllReduce;
   stage.op = &codec_.fp16_sum();
@@ -190,17 +237,19 @@ bool PowerSgdRound::next_stage(WireStage& stage) {
 ByteBuffer PowerSgdRound::encode(int worker) {
   const auto w = static_cast<std::size_t>(worker);
   auto& states = codec_.states();
+  const std::span<const float> y(buffers_.ys[w]);
+  const std::span<float> factor(buffers_.factor[w]);
   ByteBuffer buf;
+  buf.reserve(codec_.stage_bytes(stage_ == kPhaseA));
   if (stage_ == kPhaseA) {
     // P = M Q per low-rank layer; dense layers ride along uncompressed
     // (both are FP16 payloads under the same fp16-sum ring).
     for (std::size_t l = 0; l < states.size(); ++l) {
-      const auto& layer = codec_.config().layout.layer(l);
-      auto m = codec_.layer_span(std::span<const float>(ys_[w]), l);
+      auto m = codec_.layer_span(y, l);
       if (states[l].rank == 0) {
         put_fp16(buf, m);
       } else {
-        std::vector<float> p(layer.rows * states[l].rank);
+        auto p = factor.first(states[l].rows * states[l].rank);
         powersgd_compute_p(m, states[l], p);
         put_fp16(buf, p);
       }
@@ -210,10 +259,9 @@ ByteBuffer PowerSgdRound::encode(int worker) {
   // Phase B: Q = M^T P_hat per low-rank layer.
   for (std::size_t l = 0; l < states.size(); ++l) {
     if (states[l].rank == 0) continue;
-    const auto& layer = codec_.config().layout.layer(l);
-    auto m = codec_.layer_span(std::span<const float>(ys_[w]), l);
-    std::vector<float> q(layer.cols * states[l].rank);
-    powersgd_compute_q(m, states[l], p_hats_[l], q);
+    auto q = factor.first(states[l].cols * states[l].rank);
+    powersgd_compute_q(codec_.layer_span(y, l), states[l], buffers_.p_hats[l],
+                       q);
     put_fp16(buf, q);
   }
   return buf;
@@ -221,77 +269,65 @@ ByteBuffer PowerSgdRound::encode(int worker) {
 
 void PowerSgdRound::absorb_reduced(const ByteBuffer& reduced) {
   auto& states = codec_.states();
+  std::size_t offset = 0;
   if (stage_ == kPhaseA) {
     // Orthonormalize each P sum (identical on every worker since the
     // input is identical); stash dense-layer sums.
-    p_hats_.assign(states.size(), {});
-    dense_sums_.assign(states.size(), {});
-    std::size_t offset = 0;
     for (std::size_t l = 0; l < states.size(); ++l) {
-      const auto& layer = codec_.config().layout.layer(l);
       if (states[l].rank == 0) {
-        dense_sums_[l].resize(layer.size());
-        get_fp16(reduced, offset, dense_sums_[l]);
-        offset += layer.size() * 2;
+        get_fp16(reduced, offset, buffers_.dense_sums[l]);
+        offset += buffers_.dense_sums[l].size() * 2;
       } else {
-        p_hats_[l].resize(layer.rows * states[l].rank);
-        get_fp16(reduced, offset, p_hats_[l]);
-        offset += p_hats_[l].size() * 2;
-        orthogonalize_columns(p_hats_[l], layer.rows, states[l].rank);
+        auto& p_hat = buffers_.p_hats[l];
+        get_fp16(reduced, offset, p_hat);
+        offset += p_hat.size() * 2;
+        orthogonalize_columns(p_hat, states[l].rows, states[l].rank);
       }
     }
-    stage_ = any_low_rank_ ? kPhaseB : kDone;
+    stage_ = codec_.any_low_rank() ? kPhaseB : kDone;
     return;
   }
-  reduced_b_ = reduced;
+  for (std::size_t l = 0; l < states.size(); ++l) {
+    if (states[l].rank == 0) continue;
+    get_fp16(reduced, offset, buffers_.q_sums[l]);
+    offset += buffers_.q_sums[l].size() * 2;
+  }
   stage_ = kDone;
 }
 
 void PowerSgdRound::finish(std::span<float> out, RoundStats& /*stats*/) {
-  const auto& config = codec_.config();
-  const std::size_t d = config.layout.total_size();
-  const auto n = static_cast<std::size_t>(config.world_size);
+  const auto& layout = codec_.config().layout;
+  const auto n = static_cast<std::size_t>(codec_.world_size());
   auto& states = codec_.states();
 
   // Reconstruct the aggregated sum estimate and update warm starts.
-  {
-    std::size_t offset = 0;
-    for (std::size_t l = 0; l < states.size(); ++l) {
-      const auto& layer = config.layout.layer(l);
-      auto out_slice = codec_.layer_span_mut(out, l);
-      if (states[l].rank == 0) {
-        std::copy(dense_sums_[l].begin(), dense_sums_[l].end(),
-                  out_slice.begin());
-        continue;
-      }
-      std::vector<float> q_sum(layer.cols * states[l].rank);
-      get_fp16(reduced_b_, offset, q_sum);
-      offset += q_sum.size() * 2;
-      powersgd_reconstruct(states[l], p_hats_[l], q_sum, out_slice);
-      states[l].q = std::move(q_sum);  // warm start for the next round
+  for (std::size_t l = 0; l < states.size(); ++l) {
+    auto out_slice = codec_.layer_span_mut(out, l);
+    if (states[l].rank == 0) {
+      std::copy(buffers_.dense_sums[l].begin(), buffers_.dense_sums[l].end(),
+                out_slice.begin());
+      continue;
     }
+    powersgd_reconstruct(states[l], buffers_.p_hats[l], buffers_.q_sums[l],
+                         out_slice);
+    states[l].q.swap(buffers_.q_sums[l]);  // warm start for the next round
   }
 
-  // EF: memory = y - reconstruction/n on low-rank layers only (dense
-  // layers are transmitted exactly, modulo FP16 rounding).
+  // EF: memory = y - reconstruction/n on low-rank layers. Dense layers are
+  // transmitted exactly (modulo FP16 rounding): their contribution is y
+  // itself (y * 1.0f is y), so nothing is left behind.
   if (codec_.ef().enabled()) {
-    std::vector<float> contribution(d);
     const float inv_n = 1.0f / static_cast<float>(n);
+    const std::span<const float> shared(out);
     for (std::size_t w = 0; w < n; ++w) {
+      const std::span<const float> y(buffers_.ys[w]);
       for (std::size_t l = 0; l < states.size(); ++l) {
-        auto slice = codec_.layer_span_mut(contribution, l);
-        auto ow = codec_.layer_span(std::span<const float>(out), l);
-        auto yw = codec_.layer_span(std::span<const float>(ys_[w]), l);
-        if (states[l].rank == 0) {
-          // Exact transmission: nothing left behind.
-          std::copy(yw.begin(), yw.end(), slice.begin());
-        } else {
-          for (std::size_t i = 0; i < slice.size(); ++i) {
-            slice[i] = ow[i] * inv_n;
-          }
-        }
+        auto yw = codec_.layer_span(y, l);
+        const bool dense = states[l].rank == 0;
+        codec_.ef().absorb(static_cast<int>(w), layout.offset(l), yw,
+                           dense ? yw : codec_.layer_span(shared, l),
+                           dense ? 1.0f : inv_n);
       }
-      codec_.ef().absorb(static_cast<int>(w), ys_[w], contribution);
     }
   }
 }

@@ -176,6 +176,52 @@ std::size_t sat_add_packed_scalar(std::uint8_t* acc, const std::uint8_t* in,
   return clips;
 }
 
+// The low-rank products: i-p-j (matmul, matmul_bt) and p-i-j (matmul_at)
+// orders stream through rows of B and C; each c[i, j] still sums its
+// terms in ascending p.
+
+void matmul_scalar(const float* a, const float* b, std::size_t m,
+                   std::size_t k, std::size_t n, float* c) {
+  std::fill(c, c + m * n, 0.0f);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      const float aip = a[i * k + p];
+      if (aip == 0.0f) continue;
+      const float* brow = b + p * n;
+      float* crow = c + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
+    }
+  }
+}
+
+void matmul_at_scalar(const float* a, const float* b, std::size_t m,
+                      std::size_t k, std::size_t n, float* c) {
+  std::fill(c, c + m * n, 0.0f);
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* arow = a + p * m;
+    const float* brow = b + p * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float api = arow[i];
+      if (api == 0.0f) continue;
+      float* crow = c + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += api * brow[j];
+    }
+  }
+}
+
+void matmul_bt_scalar(const float* a, const float* b, std::size_t m,
+                      std::size_t k, std::size_t n, float* c) {
+  std::fill(c, c + m * n, 0.0f);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      const float aip = a[i * k + p];
+      if (aip == 0.0f) continue;
+      float* crow = c + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aip * b[j * k + p];
+    }
+  }
+}
+
 constexpr Backend kScalar = {
     "scalar",
     fp32_to_fp16_scalar,
@@ -193,6 +239,9 @@ constexpr Backend kScalar = {
     collect_ge_scalar,
     fp16_sum_scalar,
     sat_add_packed_scalar,
+    matmul_scalar,
+    matmul_at_scalar,
+    matmul_bt_scalar,
 };
 
 const Backend& default_backend() noexcept {

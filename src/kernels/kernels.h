@@ -1,7 +1,8 @@
 // Single-pass encode kernels with swappable backends.
 //
 // Every codec hot loop — fp32->fp16 conversion, stochastic quantization +
-// bit packing, Hadamard butterflies, TopK threshold select — and every
+// bit packing, Hadamard butterflies, TopK threshold select, PowerSGD's
+// low-rank products (P = M Q, Q = M^T P, M_hat = P Q^T) — and every
 // collective reduce hop (comm/reduce_op.h: fp32/fp16 sum, saturating
 // packed-lane add) funnels through this narrow interface (Vitis-streaming-kernel style: flat
 // pointer + count, no allocation, no virtual dispatch inside the loop). A
@@ -114,6 +115,26 @@ struct Backend {
   /// sat_add_lanes -> pack_signed_lanes over nbytes * 8 / bits lanes.
   std::size_t (*sat_add_packed)(std::uint8_t* acc, const std::uint8_t* in,
                                 std::size_t nbytes, unsigned bits);
+
+  /// PowerSGD's low-rank products, row-major, each writing all m*n
+  /// entries of c. Every c[i, j] is the k-ascending running sum, from
+  /// +0.0f, of the terms a * b (one multiply, then one add: no FMA) whose
+  /// A factor is not +-0: a zero A entry skips its term, so an Inf or NaN
+  /// B partner of it contributes nothing. The scalar loops are the
+  /// reference; a backend may vectorize across the free dimensions only,
+  /// never across the p-sum.
+  ///
+  /// C[m x n] = A[m x k] * B[k x n] (P = M Q).
+  void (*matmul)(const float* a, const float* b, std::size_t m,
+                 std::size_t k, std::size_t n, float* c);
+
+  /// C[m x n] = A^T * B with A stored k x m and B k x n (Q = M^T P).
+  void (*matmul_at)(const float* a, const float* b, std::size_t m,
+                    std::size_t k, std::size_t n, float* c);
+
+  /// C[m x n] = A[m x k] * B^T with B stored n x k (M_hat = P Q^T).
+  void (*matmul_bt)(const float* a, const float* b, std::size_t m,
+                    std::size_t k, std::size_t n, float* c);
 };
 
 /// The scalar reference backend (always available; defines the semantics).

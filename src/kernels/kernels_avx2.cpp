@@ -21,8 +21,10 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "numeric/half.h"
 #include "numeric/precision.h"
@@ -32,14 +34,18 @@ namespace {
 
 constexpr float kInvSqrt2 = 0.70710678118654752440f;
 
-/// True when any of the 8 floats has the all-ones exponent (Inf or NaN).
-inline bool any_inf_nan(__m256 v) {
-  const __m256i bits = _mm256_castps_si256(v);
-  const __m256i exp = _mm256_and_si256(bits, _mm256_set1_epi32(0x7F800000));
-  const __m256i hit =
-      _mm256_cmpeq_epi32(exp, _mm256_set1_epi32(0x7F800000));
-  return _mm256_testz_si256(hit, hit) == 0;
+/// All-ones in the lanes whose float has the all-ones exponent (Inf or
+/// NaN).
+inline __m256i inf_nan_lanes(__m256 v) {
+  const __m256i exp = _mm256_set1_epi32(0x7F800000);
+  return _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_castps_si256(v), exp),
+                            exp);
 }
+
+inline bool any_lane(__m256i v) { return _mm256_testz_si256(v, v) == 0; }
+
+/// True when any of the 8 floats is an Inf or NaN.
+inline bool any_inf_nan(__m256 v) { return any_lane(inf_nan_lanes(v)); }
 
 void fp32_to_fp16_avx2(const float* x, std::size_t n, std::uint16_t* out) {
   std::size_t i = 0;
@@ -551,6 +557,311 @@ std::size_t sat_add_packed_avx2(std::uint8_t* acc, const std::uint8_t* in,
                                          nbytes - done, bits);
 }
 
+// ---- PowerSGD's low-rank products ----
+//
+// Each lane owns one output c[i, j] and adds that output's terms in the
+// reference's ascending-p order, one vmulps then one vaddps per term; the
+// vectors run across a free output dimension (rows of C for matmul and
+// matmul_at, columns for matmul_bt), never across the p-sum. The
+// reference's `if (a == 0) continue` becomes a per-lane compare and blend:
+// a lane whose A factor is +-0 keeps its accumulator untouched, so a
+// 0 * Inf or 0 * NaN term never reaches it. Leftover rows or columns take
+// the reference loops.
+//
+// With finite inputs every NaN an output can reach is the one default NaN
+// (from Inf - Inf after an overflow), so the compiler's free choice of
+// operand order for a commutative add or mul cannot change a byte. Inputs
+// holding an Inf or NaN may carry distinct NaN payloads that would meet in
+// one sum, so rows, or whole calls, that see one are recomputed by the
+// scalar reference itself.
+
+/// acc + a * b in every lane where `skip` is clear, acc where it is set.
+inline __m256 mac_unless(__m256 acc, __m256 a, __m256 b, __m256 skip) {
+  return _mm256_blendv_ps(_mm256_add_ps(acc, _mm256_mul_ps(a, b)), acc,
+                          skip);
+}
+
+/// All-ones in the lanes holding +-0 (the reference's `a == 0.0f`; false
+/// for NaN).
+inline __m256 zero_lanes(__m256 a) {
+  return _mm256_cmp_ps(a, _mm256_setzero_ps(), _CMP_EQ_OQ);
+}
+
+/// True when x[0..n) holds an Inf or NaN.
+bool has_inf_nan(const float* x, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    if (any_inf_nan(_mm256_loadu_ps(x + i))) return true;
+  }
+  for (; i < n; ++i) {
+    if (!std::isfinite(x[i])) return true;
+  }
+  return false;
+}
+
+/// Transposes the 8x8 block r[0..8) in place (bit moves only).
+inline void transpose8x8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+/// Writes lane t of acc[j] to c[t * ldc + j] for t < 8, j < NJ.
+template <std::size_t NJ>
+inline void store_lanes(const __m256 (&acc)[NJ], float* c, std::size_t ldc) {
+  alignas(32) float lanes[NJ][8];
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < NJ; ++j) _mm256_store_ps(lanes[j], acc[j]);
+  for (std::size_t t = 0; t < 8; ++t) {
+    for (std::size_t j = 0; j < NJ; ++j) c[t * ldc + j] = lanes[j][t];
+  }
+}
+
+/// Up to 8 output columns per pass, each held in one accumulator register.
+constexpr std::size_t kMaxGroup = 8;
+
+/// C = A B over rows [i, i + 8) and columns [j0, j0 + NJ): lane t is row
+/// i + t, fed from 8x8 transposes of A's rows. Returns true when those A
+/// rows hold an Inf or NaN.
+template <std::size_t NJ>
+bool matmul_rows(const float* a, const float* b, std::size_t k, std::size_t n,
+                 std::size_t i, std::size_t j0, float* c) {
+  __m256 acc[NJ];
+  for (auto& v : acc) v = _mm256_setzero_ps();
+  __m256i bad = _mm256_setzero_si256();
+  const float* ab = a + i * k;
+  std::size_t p = 0;
+  for (; p + 8 <= k; p += 8) {
+    __m256 col[8];
+#pragma GCC unroll 8
+    for (std::size_t t = 0; t < 8; ++t) {
+      col[t] = _mm256_loadu_ps(ab + t * k + p);
+      bad = _mm256_or_si256(bad, inf_nan_lanes(col[t]));
+    }
+    transpose8x8(col);  // lane t = a[row t, p + u]
+#pragma GCC unroll 8
+    for (std::size_t u = 0; u < 8; ++u) {
+      const __m256 skip = zero_lanes(col[u]);
+      const float* brow = b + (p + u) * n + j0;
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < NJ; ++j) {
+        acc[j] = mac_unless(acc[j], col[u], _mm256_broadcast_ss(brow + j),
+                            skip);
+      }
+    }
+  }
+  for (; p < k; ++p) {
+    const float* x = ab + p;
+    const __m256 av = _mm256_setr_ps(x[0], x[k], x[2 * k], x[3 * k], x[4 * k],
+                                     x[5 * k], x[6 * k], x[7 * k]);
+    bad = _mm256_or_si256(bad, inf_nan_lanes(av));
+    const __m256 skip = zero_lanes(av);
+    const float* brow = b + p * n + j0;
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < NJ; ++j) {
+      acc[j] = mac_unless(acc[j], av, _mm256_broadcast_ss(brow + j), skip);
+    }
+  }
+  store_lanes<NJ>(acc, c + i * n + j0, n);
+  return any_lane(bad);
+}
+
+/// C = A B over rows [0, m8), m8 a multiple of 8, and columns
+/// [j0, j0 + NJ). Row blocks that meet an Inf or NaN are redone by the
+/// reference (a row of C depends only on its own row of A).
+template <std::size_t NJ>
+void matmul_columns(const float* a, const float* b, std::size_t m8,
+                    std::size_t k, std::size_t n, std::size_t j0, float* c) {
+  for (std::size_t i = 0; i < m8; i += 8) {
+    if (matmul_rows<NJ>(a, b, k, n, i, j0, c)) {
+      scalar().matmul(a + i * k, b, 8, k, n, c + i * n);
+    }
+  }
+}
+
+/// matmul_at's 8-lane blocks interleaved per pass: two independent
+/// accumulator chains hide the add + blend latency while 2 * NJ
+/// accumulators fit the registers (about 12% at r = 4 on the bench shapes;
+/// matmul's transposes leave it no such gain).
+template <std::size_t NJ>
+constexpr std::size_t kBlocks = NJ <= 4 ? 2 : 1;
+
+/// C = A^T B over C rows [i, i + 8 * NB) (A columns, contiguous in each A
+/// row) and columns [j0, j0 + NJ). Returns true when those A columns hold
+/// an Inf or NaN.
+template <std::size_t NJ, std::size_t NB>
+bool matmul_at_rows(const float* a, const float* b, std::size_t m,
+                    std::size_t k, std::size_t n, std::size_t i,
+                    std::size_t j0, float* c) {
+  __m256 acc[NB][NJ];
+  for (auto& blk : acc) {
+    for (auto& v : blk) v = _mm256_setzero_ps();
+  }
+  __m256i bad = _mm256_setzero_si256();
+  for (std::size_t p = 0; p < k; ++p) {
+    __m256 av[NB], skip[NB];
+    for (std::size_t blk = 0; blk < NB; ++blk) {
+      av[blk] = _mm256_loadu_ps(a + p * m + i + 8 * blk);
+      bad = _mm256_or_si256(bad, inf_nan_lanes(av[blk]));
+      skip[blk] = zero_lanes(av[blk]);
+    }
+    const float* brow = b + p * n + j0;
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < NJ; ++j) {
+      const __m256 bj = _mm256_broadcast_ss(brow + j);
+      for (std::size_t blk = 0; blk < NB; ++blk) {
+        acc[blk][j] = mac_unless(acc[blk][j], av[blk], bj, skip[blk]);
+      }
+    }
+  }
+  for (std::size_t blk = 0; blk < NB; ++blk) {
+    store_lanes<NJ>(acc[blk], c + (i + 8 * blk) * n + j0, n);
+  }
+  return any_lane(bad);
+}
+
+/// C = A^T B over C rows [0, m8) and columns [j0, j0 + NJ); true when A
+/// met an Inf or NaN there.
+template <std::size_t NJ>
+bool matmul_at_columns(const float* a, const float* b, std::size_t m,
+                       std::size_t m8, std::size_t k, std::size_t n,
+                       std::size_t j0, float* c) {
+  constexpr std::size_t kRows = 8 * kBlocks<NJ>;
+  bool bad = false;
+  std::size_t i = 0;
+  for (; i + kRows <= m8; i += kRows) {
+    bad |= matmul_at_rows<NJ, kBlocks<NJ>>(a, b, m, k, n, i, j0, c);
+  }
+  for (; i < m8; i += 8) {
+    bad |= matmul_at_rows<NJ, 1>(a, b, m, k, n, i, j0, c);
+  }
+  return bad;
+}
+
+template <std::size_t... J>
+constexpr auto matmul_groups(std::index_sequence<J...>) {
+  return std::array{&matmul_columns<J + 1>...};
+}
+template <std::size_t... J>
+constexpr auto matmul_at_groups(std::index_sequence<J...>) {
+  return std::array{&matmul_at_columns<J + 1>...};
+}
+
+void matmul_avx2(const float* a, const float* b, std::size_t m,
+                 std::size_t k, std::size_t n, float* c) {
+  static constexpr auto kGroups =
+      matmul_groups(std::make_index_sequence<kMaxGroup>{});
+  if (has_inf_nan(b, k * n)) {
+    scalar().matmul(a, b, m, k, n, c);
+    return;
+  }
+  const std::size_t m8 = m - m % 8;
+  for (std::size_t j0 = 0; j0 < n; j0 += kMaxGroup) {
+    kGroups[std::min(kMaxGroup, n - j0) - 1](a, b, m8, k, n, j0, c);
+  }
+  scalar().matmul(a + m8 * k, b, m - m8, k, n, c + m8 * n);
+}
+
+void matmul_at_avx2(const float* a, const float* b, std::size_t m,
+                    std::size_t k, std::size_t n, float* c) {
+  static constexpr auto kGroups =
+      matmul_at_groups(std::make_index_sequence<kMaxGroup>{});
+  bool bad = has_inf_nan(b, k * n);
+  const std::size_t m8 = m - m % 8;
+  for (std::size_t j0 = 0; j0 < n && !bad; j0 += kMaxGroup) {
+    bad = kGroups[std::min(kMaxGroup, n - j0) - 1](a, b, m, m8, k, n, j0, c);
+  }
+  // Leftover C rows [m8, m): the reference's p-i-j loop on that slice.
+  std::fill(c + m8 * n, c + m * n, 0.0f);
+  for (std::size_t p = 0; p < k && !bad; ++p) {
+    for (std::size_t i = m8; i < m; ++i) {
+      const float api = a[p * m + i];
+      bad |= !std::isfinite(api);
+      if (api == 0.0f) continue;
+      for (std::size_t j = 0; j < n; ++j) c[i * n + j] += api * b[p * n + j];
+    }
+  }
+  // The slices of A share the p-loop, so a non-finite input anywhere hands
+  // the whole product to the reference.
+  if (bad) scalar().matmul_at(a, b, m, k, n, c);
+}
+
+/// matmul_bt's B^T panel: up to 8 p-rows of kPanelCols columns, so a row
+/// of C is written in contiguous vectors.
+constexpr std::size_t kPanelCols = 128;
+
+void matmul_bt_avx2(const float* a, const float* b, std::size_t m,
+                    std::size_t k, std::size_t n, float* c) {
+  if (k == 0 || has_inf_nan(a, m * k) || has_inf_nan(b, n * k)) {
+    scalar().matmul_bt(a, b, m, k, n, c);
+    return;
+  }
+  const std::size_t n8 = n - n % 8;
+  alignas(32) float panel[8 * kPanelCols];
+  for (std::size_t j0 = 0; j0 < n8; j0 += kPanelCols) {
+    const std::size_t w = std::min(kPanelCols, n8 - j0);
+    // Passes over 8 p at a time; between passes the partial sums rest in C
+    // as floats, exactly as the reference keeps them.
+    for (std::size_t p0 = 0; p0 < k; p0 += 8) {
+      const std::size_t np = std::min<std::size_t>(8, k - p0);
+      for (std::size_t jj = 0; jj < w; ++jj) {
+        for (std::size_t u = 0; u < np; ++u) {
+          panel[u * kPanelCols + jj] = b[(j0 + jj) * k + p0 + u];
+        }
+      }
+      for (std::size_t i = 0; i < m; ++i) {
+        const float* arow = a + i * k + p0;
+        float* crow = c + i * n + j0;
+        for (std::size_t jj = 0; jj < w; jj += 8) {
+          __m256 acc =
+              p0 == 0 ? _mm256_setzero_ps() : _mm256_loadu_ps(crow + jj);
+          for (std::size_t u = 0; u < np; ++u) {
+            // One A factor feeds every lane, so the per-lane skip is
+            // uniform here and a branch is that blend.
+            if (arow[u] == 0.0f) continue;
+            acc = _mm256_add_ps(
+                acc,
+                _mm256_mul_ps(_mm256_broadcast_ss(arow + u),
+                              _mm256_load_ps(panel + u * kPanelCols + jj)));
+          }
+          _mm256_storeu_ps(crow + jj, acc);
+        }
+      }
+    }
+  }
+  // Leftover C columns [n8, n): the reference's loop on that slice.
+  for (std::size_t i = 0; i < m; ++i) {
+    float* crow = c + i * n;
+    std::fill(crow + n8, crow + n, 0.0f);
+    for (std::size_t p = 0; p < k; ++p) {
+      const float aip = a[i * k + p];
+      if (aip == 0.0f) continue;
+      for (std::size_t j = n8; j < n; ++j) crow[j] += aip * b[j * k + p];
+    }
+  }
+}
+
 constexpr Backend kAvx2 = {
     "avx2",
     fp32_to_fp16_avx2,
@@ -568,6 +879,9 @@ constexpr Backend kAvx2 = {
     collect_ge_avx2,
     fp16_sum_avx2,
     sat_add_packed_avx2,
+    matmul_avx2,
+    matmul_at_avx2,
+    matmul_bt_avx2,
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "kernels/kernels.h"
 #include "tensor/vecops.h"
 
 namespace gcs {
@@ -48,21 +49,10 @@ void powersgd_reconstruct(const PowerSgdLayerState& st,
   GCS_CHECK(m_hat.size() >= st.rows * st.cols);
   GCS_CHECK(p.size() >= st.rows * st.rank);
   GCS_CHECK(q.size() >= st.cols * st.rank);
-  // M_hat[i, j] = sum_k P[i, k] * Q[j, k]; Q^T is rank x cols.
-  // Compute via matmul with B = Q^T materialized implicitly: iterate k.
-  std::fill(m_hat.begin(),
-            m_hat.begin() + static_cast<std::ptrdiff_t>(st.rows * st.cols),
-            0.0f);
-  for (std::size_t i = 0; i < st.rows; ++i) {
-    for (std::size_t k = 0; k < st.rank; ++k) {
-      const float pik = p[i * st.rank + k];
-      if (pik == 0.0f) continue;
-      float* out_row = &m_hat[i * st.cols];
-      for (std::size_t j = 0; j < st.cols; ++j) {
-        out_row[j] += pik * q[j * st.rank + k];
-      }
-    }
-  }
+  // M_hat[i, j] = sum_k P[i, k] * Q[j, k]: P (rows x rank) times Q^T, with
+  // Q stored cols x rank.
+  kernels::active().matmul_bt(p.data(), q.data(), st.rows, st.rank, st.cols,
+                              m_hat.data());
 }
 
 }  // namespace gcs

@@ -40,14 +40,15 @@ std::size_t argmax_abs(std::span<const float> x) noexcept;
 /// Mean squared error between two equal-length spans (FP64 accumulation).
 double mse(std::span<const float> a, std::span<const float> b) noexcept;
 
-/// Row-major matrix multiply: C[m x n] = A[m x k] * B[k x n].
-/// Deliberately simple tiled loop; PowerSGD's matrices are skinny (k or n
-/// equals the rank r <= 64) so this is adequate.
+/// Row-major matrix multiply: C[m x n] = A[m x k] * B[k x n], on the
+/// kernel backend (kernels::Backend::matmul defines the summation order and
+/// the zero skip).
 void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k,
             std::size_t n);
 
-/// C[m x n] = A^T[m x k] * B[k x n] where A is stored k x m row-major.
+/// C[m x n] = A^T[m x k] * B[k x n] where A is stored k x m row-major
+/// (kernels::Backend::matmul_at).
 void matmul_at(std::span<const float> a, std::span<const float> b,
                std::span<float> c, std::size_t m, std::size_t k,
                std::size_t n);

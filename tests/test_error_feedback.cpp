@@ -19,7 +19,7 @@ TEST(ErrorFeedback, DisabledIsPassThrough) {
   EXPECT_EQ(y, grad);
   EXPECT_FALSE(ef.enabled());
   // absorb is a no-op; no crash.
-  ef.absorb(0, y, grad);
+  ef.absorb(0, 0, y, grad, 1.0f);
 }
 
 TEST(ErrorFeedback, MemoryStartsZero) {
@@ -34,7 +34,7 @@ TEST(ErrorFeedback, AbsorbStoresResidual) {
   ErrorFeedback ef(1, 2, true);
   const std::vector<float> y{4.0f, 2.0f};
   const std::vector<float> sent{3.0f, 2.0f};
-  ef.absorb(0, y, sent);
+  ef.absorb(0, 0, y, sent, 1.0f);
   const auto mem = ef.memory(0);
   EXPECT_EQ(mem[0], 1.0f);
   EXPECT_EQ(mem[1], 0.0f);
@@ -61,14 +61,14 @@ TEST(ErrorFeedback, MaskedAbsorbKeepsUnsent) {
 
 TEST(ErrorFeedback, WorkersAreIndependent) {
   ErrorFeedback ef(2, 1, true);
-  ef.absorb(0, std::vector<float>{7.0f}, std::vector<float>{0.0f});
+  ef.absorb(0, 0, std::vector<float>{7.0f}, std::vector<float>{0.0f}, 1.0f);
   EXPECT_EQ(ef.memory(0)[0], 7.0f);
   EXPECT_EQ(ef.memory(1)[0], 0.0f);
 }
 
 TEST(ErrorFeedback, ResetClears) {
   ErrorFeedback ef(1, 1, true);
-  ef.absorb(0, std::vector<float>{3.0f}, std::vector<float>{0.0f});
+  ef.absorb(0, 0, std::vector<float>{3.0f}, std::vector<float>{0.0f}, 1.0f);
   ef.reset();
   EXPECT_EQ(ef.memory(0)[0], 0.0f);
 }
@@ -80,7 +80,7 @@ TEST(ErrorFeedback, EnergyIsConserved) {
   const std::vector<float> zero{0.0f, 0.0f};
   std::vector<float> y(2);
   ef.compensate(0, std::vector<float>{1.0f, 2.0f}, y);
-  ef.absorb(0, y, zero);
+  ef.absorb(0, 0, y, zero, 1.0f);
   ef.compensate(0, std::vector<float>{1.0f, 2.0f}, y);
   EXPECT_EQ(y[0], 2.0f);
   EXPECT_EQ(y[1], 4.0f);
@@ -105,7 +105,7 @@ TEST(ErrorFeedback, RemapCarriesSurvivorRowsBitExact) {
                                   -1.25f * static_cast<float>(w),
                                   3.75f};
     ef.compensate(w, grad, y);
-    ef.absorb(w, y, zero);  // memory = y (nothing transmitted)
+    ef.absorb(w, 0, y, zero, 1.0f);  // memory = y (nothing transmitted)
   }
   const std::vector<int> survivors{0, 1, 3};
   const ErrorFeedback remapped = ef.remap(survivors);

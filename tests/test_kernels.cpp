@@ -14,8 +14,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -368,6 +371,226 @@ void min_max_reference(const std::vector<float>& x, float* lo, float* hi) {
   *hi = mx;
 }
 
+// ---- PowerSGD's low-rank products: matmul, matmul_at, matmul_bt ----
+
+enum class LowRank { kMul, kMulAt, kMulBt };
+
+const char* low_rank_name(LowRank which) {
+  switch (which) {
+    case LowRank::kMul: return "matmul";
+    case LowRank::kMulAt: return "matmul_at";
+    case LowRank::kMulBt: return "matmul_bt";
+  }
+  return "?";
+}
+
+/// Runs one product; (m, k, n) are the kernel's own parameters, so A holds
+/// m*k floats and B k*n for all three. C starts as junk: the kernel must
+/// write every entry.
+std::vector<float> low_rank(const Backend& backend, LowRank which,
+                            const std::vector<float>& a,
+                            const std::vector<float>& b, std::size_t m,
+                            std::size_t k, std::size_t n) {
+  std::vector<float> c(m * n, -7.0f);
+  const auto kernel = which == LowRank::kMul     ? backend.matmul
+                      : which == LowRank::kMulAt ? backend.matmul_at
+                                                 : backend.matmul_bt;
+  kernel(a.data(), b.data(), m, k, n, c.data());
+  return c;
+}
+
+std::string float_bits_hex(float x) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%08x",
+                static_cast<unsigned>(std::bit_cast<std::uint32_t>(x)));
+  return buf;
+}
+
+/// memcmp of the AVX2 product against the scalar reference.
+::testing::AssertionResult low_rank_identical(LowRank which,
+                                              const std::vector<float>& a,
+                                              const std::vector<float>& b,
+                                              std::size_t m, std::size_t k,
+                                              std::size_t n) {
+  const auto s = low_rank(kernels::scalar(), which, a, b, m, k, n);
+  const auto v = low_rank(kernels::avx2(), which, a, b, m, k, n);
+  if (std::memcmp(s.data(), v.data(), s.size() * sizeof(float)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  std::size_t i = 0;
+  while (float_bits_hex(s[i]) == float_bits_hex(v[i])) ++i;
+  return ::testing::AssertionFailure()
+         << low_rank_name(which) << " m=" << m << " k=" << k << " n=" << n
+         << ": c[" << i << "] scalar " << float_bits_hex(s[i]) << " avx2 "
+         << float_bits_hex(v[i]);
+}
+
+/// Gaussian entries with about `zero_pct`% exact +-0 (the skipped A
+/// factors) and 1% denormals.
+std::vector<float> low_rank_operand(std::size_t n, Rng& rng,
+                                    unsigned zero_pct) {
+  std::vector<float> x(n);
+  for (auto& v : x) {
+    const auto roll = rng.next_below(100);
+    if (roll < zero_pct) {
+      v = roll % 2 == 0 ? 0.0f : -0.0f;
+    } else if (roll == 99) {
+      v = std::numeric_limits<float>::denorm_min() *
+          static_cast<float>(1 + rng.next_below(1000));
+    } else {
+      v = static_cast<float>(rng.next_gaussian());
+    }
+  }
+  return x;
+}
+
+constexpr LowRank kLowRankKernels[] = {LowRank::kMul, LowRank::kMulAt,
+                                       LowRank::kMulBt};
+
+TEST(Kernels, LowRankProductsCrossBackendRuntShapes) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  // Every m, k in 1..17 hits each scalar tail and each 8- and 16-lane
+  // block; r in 1..9 covers every accumulator-group width and one pass
+  // past it. For matmul_bt the rank is the summed k and the runt runs
+  // over the output columns.
+  Rng rng(141);
+  for (std::size_t m = 1; m <= 17; ++m) {
+    for (std::size_t x = 1; x <= 17; ++x) {
+      for (std::size_t r = 1; r <= 9; ++r) {
+        for (const LowRank which : kLowRankKernels) {
+          const bool bt = which == LowRank::kMulBt;
+          const std::size_t k = bt ? r : x, n = bt ? x : r;
+          const auto a = low_rank_operand(m * k, rng, 10);
+          const auto b = low_rank_operand(k * n, rng, 10);
+          ASSERT_TRUE(low_rank_identical(which, a, b, m, k, n));
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, LowRankProductsCrossBackendBenchShapes) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  // The bulk benchmark's layer matrices (rows x cols), with about 6% exact
+  // zeros in the skipped operand.
+  Rng rng(142);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{256, 768}, {1024, 256},
+        {256, 256}, {768, 256}}) {
+    for (std::size_t r : {1u, 4u, 9u}) {
+      const auto m = low_rank_operand(rows * cols, rng, 6);
+      // P = M Q, Q = M^T P, M_hat = P Q^T.
+      ASSERT_TRUE(low_rank_identical(LowRank::kMul, m,
+                                     low_rank_operand(cols * r, rng, 6),
+                                     rows, cols, r));
+      ASSERT_TRUE(low_rank_identical(LowRank::kMulAt, m,
+                                     low_rank_operand(rows * r, rng, 6),
+                                     cols, rows, r));
+      ASSERT_TRUE(low_rank_identical(LowRank::kMulBt,
+                                     low_rank_operand(rows * r, rng, 6),
+                                     low_rank_operand(cols * r, rng, 6),
+                                     rows, r, cols));
+    }
+  }
+}
+
+TEST(Kernels, LowRankProductsCrossBackendSpecialValues) {
+  if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  std::vector<float> specials = {
+      0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest()};
+  // Quiet and signaling NaNs of both signs and distinct payloads: two of
+  // them meeting in one sum must resolve as the reference resolves them.
+  for (std::uint32_t bits :
+       {0x7FC00000u, 0xFFC00000u, 0x7FC01234u, 0x7F800001u, 0xFF800123u}) {
+    specials.push_back(std::bit_cast<float>(bits));
+  }
+  Rng rng(143);
+  for (const auto& [m, x, r] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{1, 1, 1},
+        {3, 5, 2}, {8, 8, 4}, {9, 17, 4}, {16, 16, 4}, {17, 9, 5},
+        {24, 33, 3}, {40, 24, 9}}) {
+    for (const LowRank which : kLowRankKernels) {
+      const bool bt = which == LowRank::kMulBt;
+      const std::size_t k = bt ? r : x, n = bt ? x : r;
+      for (const float special : specials) {
+        for (int where = 0; where < 3; ++where) {  // A, B, both
+          for (int trial = 0; trial < 4; ++trial) {
+            auto a = low_rank_operand(m * k, rng, 15);
+            auto b = low_rank_operand(k * n, rng, 15);
+            const std::size_t hits = 1 + rng.next_below(3);
+            for (std::size_t h = 0; h < hits; ++h) {
+              if (where != 1) a[rng.next_below(a.size())] = special;
+              if (where != 0) b[rng.next_below(b.size())] = special;
+            }
+            ASSERT_TRUE(low_rank_identical(which, a, b, m, k, n))
+                << "special " << float_bits_hex(special) << " where "
+                << where;
+          }
+        }
+      }
+      // Dense mixes: distinct NaN payloads meet inside one sum, where the
+      // surviving payload depends on operand order.
+      for (int trial = 0; trial < 8; ++trial) {
+        auto a = low_rank_operand(m * k, rng, 15);
+        auto b = low_rank_operand(k * n, rng, 15);
+        for (auto* operand : {&a, &b}) {
+          for (auto& v : *operand) {
+            if (rng.next_below(5) == 0) {
+              v = specials[rng.next_below(specials.size())];
+            }
+          }
+        }
+        ASSERT_TRUE(low_rank_identical(which, a, b, m, k, n))
+            << "dense specials, trial " << trial;
+      }
+      // Finite inputs that overflow: Inf - Inf turns sums into NaN on the
+      // vector path itself (no input holds a non-finite value).
+      auto a = low_rank_operand(m * k, rng, 15);
+      auto b = low_rank_operand(k * n, rng, 15);
+      for (auto& v : a) v *= 3e37f;
+      for (auto& v : b) v *= 3e37f;
+      ASSERT_TRUE(low_rank_identical(which, a, b, m, k, n)) << "overflow";
+    }
+  }
+}
+
+TEST(Kernels, LowRankProductsSkipZeroFactorTerms) {
+  // A +-0 A factor drops its term, so an Inf or NaN B partner never
+  // reaches the sum; a NaN A factor is not skipped.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<const Backend*> backends = {&kernels::scalar()};
+  if (have_avx2()) backends.push_back(&kernels::avx2());
+  for (const Backend* backend : backends) {
+    // matmul: A (1 x 2) = [0, 2], B (2 x 2) = [[Inf, NaN], [3, -1]].
+    EXPECT_EQ(low_rank(*backend, LowRank::kMul, {-0.0f, 2.0f},
+                       {inf, nan, 3.0f, -1.0f}, 1, 2, 2),
+              (std::vector<float>{6.0f, -2.0f}))
+        << backend->name;
+    // matmul_at: A stored k x m = 2 x 1 = [0; 2], same B.
+    EXPECT_EQ(low_rank(*backend, LowRank::kMulAt, {0.0f, 2.0f},
+                       {inf, nan, 3.0f, -1.0f}, 1, 2, 2),
+              (std::vector<float>{6.0f, -2.0f}))
+        << backend->name;
+    // matmul_bt: A (1 x 2) = [0, 2], B stored n x k = [[Inf, 3], [NaN, -1]].
+    EXPECT_EQ(low_rank(*backend, LowRank::kMulBt, {0.0f, 2.0f},
+                       {inf, 3.0f, nan, -1.0f}, 1, 2, 2),
+              (std::vector<float>{6.0f, -2.0f}))
+        << backend->name;
+    // An all-zero A row gives +0 (the sum's start), never -0.
+    const auto zero_row = low_rank(*backend, LowRank::kMul, {-0.0f, -0.0f},
+                                   {-1.0f, -1.0f}, 1, 2, 1);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(zero_row[0]), 0u) << backend->name;
+    const auto nan_factor = low_rank(*backend, LowRank::kMul, {nan, 1.0f},
+                                     {0.0f, 1.0f}, 1, 2, 1);
+    EXPECT_TRUE(std::isnan(nan_factor[0])) << backend->name;
+  }
+}
+
 TEST(Kernels, MinMaxCrossBackendIncludingNanAndSignedZero) {
   if (!have_avx2()) GTEST_SKIP() << "no AVX2 on this host";
   Rng rng(92);
@@ -663,7 +886,8 @@ TEST(Kernels, AllSchemesBitIdenticalAcrossBackends) {
   const auto layout = make_transformer_like_layout(4096);
   for (const char* spec :
        {"fp16", "fp32", "topk:b=8", "topkc:b=8",
-        "thc:q=4:b=4:sat:partial", "thc:q=4:b=8:full", "powersgd:r=2"}) {
+        "thc:q=4:b=4:sat:partial", "thc:q=4:b=8:full", "powersgd:r=1",
+        "powersgd:r=2", "powersgd:r=4", "powersgd:r=8"}) {
     const SchemeRun s = run_scheme(spec, layout, 4, 3, "scalar");
     const SchemeRun a = run_scheme(spec, layout, 4, 3, "avx2");
     ASSERT_EQ(s.outputs.size(), a.outputs.size()) << spec;
@@ -678,6 +902,8 @@ TEST(Kernels, AllSchemesBitIdenticalAcrossBackends) {
     ASSERT_EQ(s.ef.size(), a.ef.size()) << spec;
     for (std::size_t w = 0; w < s.ef.size(); ++w) {
       ASSERT_EQ(s.ef[w].size(), a.ef[w].size()) << spec;
+      // Schemes without EF hold no residual (and no buffer to compare).
+      if (s.ef[w].empty()) continue;
       ASSERT_EQ(std::memcmp(s.ef[w].data(), a.ef[w].data(),
                             s.ef[w].size() * sizeof(float)),
                 0)

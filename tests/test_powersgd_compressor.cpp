@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "core/vnmse.h"
@@ -226,6 +227,87 @@ TEST(PowerSgd, TinyRankOneLayersGoDense) {
     const double sum = grads[0][i] + grads[1][i] + grads[2][i];
     EXPECT_NEAR(out[i], sum, std::fabs(sum) / 256.0 + 1e-2);
   }
+}
+
+/// Drives one full round of `codec` in process: every worker's payload is
+/// reduced with the stage's op in worker order. Returns the aggregate.
+std::vector<float> drive_round(SchemeCodec& codec,
+                               const std::vector<std::vector<float>>& grads,
+                               std::uint64_t round) {
+  const auto views = views_of(grads);
+  auto session = codec.begin_round(views, round);
+  WireStage stage;
+  while (session->next_stage(stage)) {
+    ByteBuffer reduced = session->encode(0);
+    for (int w = 1; w < codec.world_size(); ++w) {
+      const ByteBuffer payload = session->encode(w);
+      stage.op->accumulate(reduced, payload);
+    }
+    session->absorb_reduced(reduced);
+  }
+  std::vector<float> out(codec.dimension());
+  RoundStats stats;
+  session->finish(out, stats);
+  return out;
+}
+
+TEST(PowerSgd, AbandonedRoundLeavesStateUntouched) {
+  // Rounds commit EF memories and Q warm starts only in finish(). A round
+  // dropped after phase A's encodes leaves its codec-owned buffers dirty;
+  // the next round must not see that: it (and the round after it, which
+  // starts from its Q warm start) is bit-identical to the same rounds on a
+  // fresh codec.
+  PowerSgdConfig config;
+  config.layout = two_matrix_layout();
+  config.world_size = 3;
+  config.rank = 4;
+  const std::size_t d = config.layout.total_size();
+  auto abandoned = make_powersgd_codec(config);
+  auto fresh = make_powersgd_codec(config);
+  {
+    const auto grads = random_grads(3, d, 21);
+    const auto views = views_of(grads);
+    auto session = abandoned->begin_round(views, 0);
+    WireStage stage;
+    ASSERT_TRUE(session->next_stage(stage));
+    for (int w = 0; w < 3; ++w) session->encode(w);
+  }
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    const auto grads = random_grads(3, d, 30 + round);
+    const auto got = drive_round(*abandoned, grads, round);
+    const auto want = drive_round(*fresh, grads, round);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), d * sizeof(float)), 0)
+        << "round " << round;
+    for (int w = 0; w < 3; ++w) {
+      const auto a = abandoned->ef_memory(w);
+      const auto f = fresh->ef_memory(w);
+      ASSERT_EQ(a.size(), d);
+      ASSERT_EQ(std::memcmp(a.data(), f.data(), d * sizeof(float)), 0)
+          << "round " << round << " EF worker " << w;
+    }
+  }
+}
+
+TEST(PowerSgd, SecondLiveRoundThrows) {
+  // The round buffers belong to the codec, so a second session opened while
+  // the first is live would overwrite its y and P sums: begin_round()
+  // refuses it, and accepts a new one once the first is dropped.
+  PowerSgdConfig config;
+  config.layout = two_matrix_layout();
+  config.world_size = 3;
+  config.rank = 4;
+  const std::size_t d = config.layout.total_size();
+  auto codec = make_powersgd_codec(config);
+  const auto grads = random_grads(3, d, 41);
+  const auto views = views_of(grads);
+  {
+    auto first = codec->begin_round(views, 0);
+    EXPECT_THROW(codec->begin_round(views, 0), std::logic_error);
+  }
+  auto fresh = make_powersgd_codec(config);
+  const auto got = drive_round(*codec, grads, 0);
+  const auto want = drive_round(*fresh, grads, 0);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), d * sizeof(float)), 0);
 }
 
 }  // namespace
