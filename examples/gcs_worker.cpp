@@ -325,8 +325,6 @@ WorkerResult run_worker(const WorkerConfig& config, int rank) {
     }
   }
   pipeline_config.elastic = config.elastic;
-  pipeline_config.peer_timeout_ms = config.peer_timeout_ms;
-  pipeline_config.rejoin_window_ms = config.rejoin_window_ms;
   if (config.die_rank == rank) {
     const int die_round = config.die_round;
     pipeline_config.fault_hook = [die_round](const char* point,

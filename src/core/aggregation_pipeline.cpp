@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -16,8 +15,6 @@
 #include "common/check.h"
 #include "kernels/kernels.h"
 #include "measure/trace.h"
-#include "net/launcher.h"
-#include "net/socket_fabric.h"
 #include "sched/encode_worker_pool.h"
 #include "telemetry/flight_recorder.h"
 
@@ -101,8 +98,8 @@ bool payloads_symmetric(const std::vector<ByteBuffer>& payloads) {
 /// chunked collective on `mine` (the rank's own payload buffer) and
 /// returns the gather result for kAllGather routes. The same code path
 /// serves the threaded fabric (one thread per rank, shared transport) and
-/// the socket fabric (one process per rank, own endpoint) — byte-identical
-/// traffic on either substrate.
+/// aggregate_over (one endpoint per rank, e.g. a process on a socket
+/// mesh) — byte-identical traffic on either substrate.
 std::vector<ByteBuffer> run_stage_rank(const WireStage& stage,
                                        comm::Communicator& comm,
                                        ByteBuffer& mine, bool symmetric,
@@ -302,29 +299,6 @@ void run_stage_threaded_overlapped(const WireStage& stage, CodecRound& round,
   round.absorb_reduced(payloads[0]);
 }
 
-/// Builds the rendezvous address for one socket-backend round.
-std::string socket_rendezvous(const PipelineConfig& config) {
-  if (config.socket_port == 0) return net::unique_unix_rendezvous();
-  const std::string host =
-      config.socket_iface.empty() ? "127.0.0.1" : config.socket_iface;
-  return "tcp:" + host + ":" + std::to_string(config.socket_port);
-}
-
-net::SocketFabricConfig socket_fabric_config(const PipelineConfig& config,
-                                             const std::string& rendezvous,
-                                             int world, int rank) {
-  net::SocketFabricConfig fc;
-  fc.rendezvous = rendezvous;
-  fc.world_size = world;
-  fc.rank = rank;
-  fc.elastic = config.elastic;
-  if (config.peer_timeout_ms > 0) fc.recv_timeout_ms = config.peer_timeout_ms;
-  if (config.rejoin_window_ms > 0) {
-    fc.rejoin_window_ms = config.rejoin_window_ms;
-  }
-  return fc;
-}
-
 /// Commit-barrier tags, far above the collectives' tag space (< 2^32) and
 /// distinct from the rendezvous (0xffff'ffff'...) and probe (0x6d5...)
 /// namespaces. The low 32 bits carry the round so a straggler of round k
@@ -397,10 +371,6 @@ AggregationPipeline::AggregationPipeline(SchemeCodecPtr codec,
     bucket_plan_ = std::make_unique<sched::BucketPlan>(
         sched::plan_buckets(config_.layout, planner));
   }
-  rebuild_pool();
-}
-
-void AggregationPipeline::rebuild_pool() {
   if (config_.encode_workers > 1) {
     pool_ =
         std::make_unique<sched::EncodeWorkerPool>(config_.encode_workers);
@@ -483,9 +453,6 @@ RoundStats AggregationPipeline::aggregate(
   GCS_CHECK(out.size() == codec_->dimension());
 
   const PipelineBackend backend = config_.backend;
-  if (backend == PipelineBackend::kSocketFabric) {
-    return aggregate_socket(grads, out, round);
-  }
   wire_ = WireTraffic{};
   if (backend == PipelineBackend::kThreadedFabric) {
     wire_.sent.assign(n, 0);
@@ -774,8 +741,7 @@ RoundStats AggregationPipeline::aggregate_elastic(
     comm::Transport& transport, const GradSource& grad_of,
     std::span<float> out, std::uint64_t round) {
   GCS_CHECK_MSG(config_.elastic,
-                "aggregate_elastic needs PipelineConfig::elastic "
-                "(factory knob elastic=on)");
+                "aggregate_elastic needs PipelineConfig::elastic");
   if (membership_.original_ranks.empty()) {
     membership_ = comm::Membership::identity(codec_->world_size());
   }
@@ -804,65 +770,6 @@ RoundStats AggregationPipeline::aggregate_elastic(
   throw Error("aggregate_elastic: round " + std::to_string(round) +
               " failed after " + std::to_string(max_attempts) +
               " membership rebuilds");
-}
-
-RoundStats AggregationPipeline::aggregate_socket(
-    std::span<const std::span<const float>> grads, std::span<float> out,
-    std::uint64_t round) {
-  const int n = codec_->world_size();
-  const std::size_t dim = codec_->dimension();
-  const std::string rendezvous = socket_rendezvous(config_);
-  wire_ = WireTraffic{};
-  wire_.sent.assign(static_cast<std::size_t>(n), 0);
-  wire_.received.assign(static_cast<std::size_t>(n), 0);
-
-  // Fork ranks 1..n-1 first (while this process is still quiescent — no
-  // I/O threads yet), then participate as rank 0 so the codec's
-  // cross-round state advances in the surviving process. Each child runs
-  // the identical SPMD round on its copy-on-write snapshot of the codec
-  // and reports its wire meters plus the aggregated output for
-  // cross-process agreement checking.
-  //
-  // The encode pool's threads must not straddle the fork (a child would
-  // inherit the pool object but not its threads, and any pool call would
-  // hang): drop them now; each side rebuilds its own pool below.
-  pool_.reset();
-  auto worker = [&](int rank) -> ByteBuffer {
-    rebuild_pool();
-    net::SocketFabric fabric(
-        socket_fabric_config(config_, rendezvous, n, rank));
-    comm::Communicator comm(fabric, rank);
-    std::vector<float> worker_out(dim);
-    aggregate_over(comm, grads, worker_out, round);
-    ByteBuffer report;
-    ByteWriter w(report);
-    w.put<std::uint64_t>(fabric.bytes_sent(rank));
-    w.put<std::uint64_t>(fabric.bytes_received(rank));
-    w.put_span<float>(std::span<const float>(worker_out));
-    return report;
-  };
-  net::ForkedWorkers peers(1, n, worker);
-  rebuild_pool();
-
-  net::SocketFabric fabric(socket_fabric_config(config_, rendezvous, n, 0));
-  comm::Communicator comm(fabric, 0);
-  const RoundStats stats = aggregate_over(comm, grads, out, round);
-  wire_.sent[0] = fabric.bytes_sent(0);
-  wire_.received[0] = fabric.bytes_received(0);
-
-  const auto reports = peers.join();
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const auto rank = i + 1;
-    ByteReader r(reports[i]);
-    wire_.sent[rank] = r.get<std::uint64_t>();
-    wire_.received[rank] = r.get<std::uint64_t>();
-    const auto values = r.get_span<float>(dim);
-    GCS_CHECK_MSG(std::memcmp(values.data(), out.data(),
-                              dim * sizeof(float)) == 0,
-                  "rank " << rank
-                          << " disagrees with rank 0 after a socket round");
-  }
-  return stats;
 }
 
 namespace {

@@ -4,7 +4,7 @@
 // layer: for every wire stage it collects the per-worker payloads, splits
 // them into chunks (chunk_bytes), and runs the stage's collective chunk by
 // chunk, so that in a real deployment the encode of chunk k+1 overlaps the
-// hops of chunk k. Three execution backends:
+// hops of chunk k. Two in-process backends serve aggregate():
 //
 //   * local reference (default) — the bit-exact, thread-free aggregators
 //     from comm/group.h; the training simulator's hot path. Chunking is
@@ -12,14 +12,17 @@
 //     backend validates the chunk plan and reduces once.
 //   * threaded fabric — one thread per rank over comm::Fabric, running the
 //     chunked collectives "for real" inside one process.
-//   * socket fabric — one OS process per rank over net::SocketFabric
-//     (fork-based; the calling process participates as rank 0 so its codec
-//     state survives the round). The identical protocol on real sockets —
-//     the simulator-to-system step.
 //
-// All three produce bit-identical aggregated values, and the two transport
-// backends meter identical per-rank wire bytes (last_wire()); tests close
-// the loop on both claims. The time saved by per-chunk overlap is charged
+// The SPMD entry aggregate_over runs the same round as one rank of any
+// comm::Transport: real deployments own one net::SocketFabric endpoint per
+// process (gcs_worker, gcs_driver's socket modes, utilitybench) and every
+// rank calls it. The pipeline itself never names a concrete network
+// transport.
+//
+// All paths produce bit-identical aggregated values, and the threaded
+// fabric meters the same per-rank wire bytes (last_wire()) that each
+// rank's own transport reports under aggregate_over; tests close the loop
+// on both claims. The time saved by per-chunk overlap is charged
 // by sim/cost_model.h (RoundTime::overlap_saved_s), keeping the value path
 // and the clock model in one frame: same chunk plan in, same stage
 // structure out.
@@ -70,7 +73,6 @@ namespace gcs::core {
 enum class PipelineBackend : std::uint8_t {
   kLocalReference,
   kThreadedFabric,
-  kSocketFabric,
 };
 
 struct PipelineConfig {
@@ -80,14 +82,9 @@ struct PipelineConfig {
   std::size_t chunk_bytes = 0;
   /// Server rank for kParameterServer stages.
   int ps_server = 0;
-  /// Execution backend (factory: `fabric=local|threaded|socket`; the bare
-  /// `fabric` flag means threaded).
+  /// Backend of aggregate() (factory: `fabric=local|threaded`; the bare
+  /// `fabric` flag means threaded). aggregate_over ignores it.
   PipelineBackend backend = PipelineBackend::kLocalReference;
-  /// Socket backend: TCP rendezvous port; 0 = Unix-domain sockets under
-  /// /tmp (the default, no network configuration needed).
-  int socket_port = 0;
-  /// Socket backend: TCP host/interface address; empty = 127.0.0.1.
-  std::string socket_iface;
   /// How stage payloads split into chunks: fixed-size (`chunk_bytes`,
   /// the default) or layer-aligned DDP-style buckets from the sched/
   /// planner (requires `layout`). Values are bit-identical either way.
@@ -108,8 +105,7 @@ struct PipelineConfig {
   /// worker, per-chunk collective send/recv (via the transport's wire
   /// tap), reduce, decode, stage and round envelopes. Null (the default)
   /// means not a single clock read; either way values and wire bytes are
-  /// untouched. The socket backend traces rank 0's endpoint (the
-  /// surviving process); forked peers run untraced.
+  /// untouched.
   measure::TraceRecorder* trace = nullptr;
   /// Always-on flight recorder (non-owning, see
   /// telemetry/flight_recorder.h): when set and `trace` is null, the
@@ -119,20 +115,15 @@ struct PipelineConfig {
   /// also set, the user recorder stays the sink and completed rounds are
   /// observe()d into the ring from the caller instead. Null = off.
   telemetry::FlightRecorder* flight = nullptr;
-  /// Elastic membership (socket transport only; DESIGN.md "Fault
-  /// tolerance"): survive a peer failure by re-rendezvousing the
-  /// survivors and retrying the interrupted round via aggregate_elastic.
-  /// Off (the default) keeps the loud-failure experiment contract: a
-  /// peer exit mid-round throws on every surviving rank within the peer
-  /// timeout. Factory knob: "elastic=on|off".
+  /// Elastic membership (DESIGN.md "Fault tolerance"; needs an elastic
+  /// transport such as net::SocketFabric with elastic on): survive a peer
+  /// failure by re-rendezvousing the survivors and retrying the
+  /// interrupted round via aggregate_elastic, and end every aggregate_over
+  /// round in a commit barrier. Off (the default) keeps the loud-failure
+  /// experiment contract: a peer exit mid-round throws on every surviving
+  /// rank within the transport's peer timeout. Set by the caller that owns
+  /// the transport (gcs_worker --elastic).
   bool elastic = false;
-  /// Socket transport recv deadline in ms — how long a silent peer can
-  /// stall a round before it is declared failed. 0 = the transport's
-  /// default (60 s). Factory knob: "peer_timeout_ms=".
-  int peer_timeout_ms = 0;
-  /// Elastic rejoin window in ms (how long re-rendezvous keeps its doors
-  /// open for survivors). 0 = the transport's default (2 s).
-  int rejoin_window_ms = 0;
   /// Fault-injection hook for the failure-path test harness
   /// (tests/fault_injection.h): when set, invoked at named execution
   /// points of aggregate_over — "encode" right after this rank encodes
@@ -169,9 +160,9 @@ class AggregationPipeline {
   /// SPMD entry: runs the same round as aggregate(), but executes the
   /// collectives over `comm`'s transport as rank comm.rank() — every
   /// participating process (or thread) calls this with its own endpoint
-  /// and ends up with the identical aggregated sum in `out`. Used by the
-  /// socket backend's workers and the gcs_worker binary; wire bytes are
-  /// read off the caller's transport, not last_wire().
+  /// and ends up with the identical aggregated sum in `out`. Used by every
+  /// process-per-rank deployment (gcs_worker, gcs_driver's socket modes);
+  /// wire bytes are read off the caller's transport, not last_wire().
   ///
   /// With config.elastic the round ends in a commit barrier (a star
   /// through rank 0) before finish() commits cross-round state: either
@@ -209,8 +200,11 @@ class AggregationPipeline {
     return membership_;
   }
 
-  /// Per-rank wire bytes of the last aggregate() call. Empty vectors for
-  /// the local reference backend (nothing crosses a transport).
+  /// Per-rank wire bytes of the last aggregate() call, metered by the
+  /// threaded fabric. Empty vectors for the local reference backend
+  /// (nothing crosses a transport); aggregate_over leaves it untouched
+  /// (each rank reads its own transport's meters). A process-per-rank
+  /// mesh moves exactly these bytes on every rank.
   const WireTraffic& last_wire() const noexcept { return wire_; }
 
   SchemeCodec& codec() noexcept { return *codec_; }
@@ -223,9 +217,6 @@ class AggregationPipeline {
   }
 
  private:
-  RoundStats aggregate_socket(std::span<const std::span<const float>> grads,
-                              std::span<float> out, std::uint64_t round);
-
   /// Chunk plan for one stage payload: the bucket plan's layer-aligned
   /// projection under kLayerBuckets, the fixed-size split otherwise.
   std::vector<comm::ChunkRange> stage_chunks(std::size_t payload_bytes,
@@ -247,11 +238,6 @@ class AggregationPipeline {
   /// Rotates the completed round into the flight recorder's ring when its
   /// recorder was the active sink (no-op otherwise).
   void commit_flight(std::uint64_t round, const char* backend);
-
-  /// (Re)creates the encode pool per config. Also the fork-safety hook:
-  /// the socket backend drops the pool before forking and calls this on
-  /// both sides of the fork.
-  void rebuild_pool();
 
   /// Adopts `current` as the pipeline's membership, remapping the codec
   /// when the member set changed (the survivor carry-over).

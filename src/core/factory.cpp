@@ -19,9 +19,8 @@ namespace {
 /// Spec keys/flags consumed by the pipeline/scheduler layers rather than
 /// a scheme; every scheme's require_known() treats these as known.
 constexpr const char* kPipelineOptions[] = {
-    "chunk",   "fabric",   "port",          "iface",    "buckets",
-    "bucket",  "workers",  "backward_frac", "autotune", "elastic",
-    "peer_timeout_ms"};
+    "chunk",   "fabric",        "buckets", "bucket",
+    "workers", "backward_frac", "autotune"};
 constexpr const char* kPipelineFlags[] = {"fabric", "autotune"};
 
 struct Spec {
@@ -99,7 +98,7 @@ Spec parse_spec(const std::string& text) {
   return spec;
 }
 
-/// Parses and validates the shared pipeline/transport/scheduler knobs
+/// Parses and validates the shared pipeline/scheduler knobs
 /// (see factory.h for the grammar). `layout` provides the layer table the
 /// bucket planner and the autotuner need; null = grammar-only validation
 /// (buckets=layer and autotune are still accepted, the caller attaches a
@@ -121,84 +120,13 @@ PipelineConfig pipeline_config_of(const Spec& spec,
       pipeline.backend = PipelineBackend::kLocalReference;
     } else if (value == "threaded") {
       pipeline.backend = PipelineBackend::kThreadedFabric;
-    } else if (value == "socket") {
-      pipeline.backend = PipelineBackend::kSocketFabric;
     } else {
       throw Error(
-          "compressor spec: fabric= expects local, threaded or socket, "
-          "got '" +
+          "compressor spec: fabric= expects local or threaded, got '" +
           value + "'");
     }
   }
 
-  const bool socket = pipeline.backend == PipelineBackend::kSocketFabric;
-  const auto port_it = spec.options.find("port");
-  if (port_it != spec.options.end()) {
-    if (!socket) {
-      throw Error(
-          "compressor spec: port= is only meaningful with fabric=socket");
-    }
-    const std::string& text = port_it->second;
-    char* end = nullptr;
-    const long port = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || port < 1 || port > 65535) {
-      throw Error("compressor spec: port= expects 1..65535, got '" + text +
-                  "'");
-    }
-    pipeline.socket_port = static_cast<int>(port);
-  }
-  const auto iface_it = spec.options.find("iface");
-  if (iface_it != spec.options.end()) {
-    if (!socket) {
-      throw Error(
-          "compressor spec: iface= is only meaningful with fabric=socket");
-    }
-    if (iface_it->second.empty()) {
-      throw Error("compressor spec: iface= expects a host address");
-    }
-    if (pipeline.socket_port == 0) {
-      throw Error(
-          "compressor spec: iface= needs port= (TCP rendezvous); without "
-          "port= the socket backend uses Unix-domain sockets");
-    }
-    pipeline.socket_iface = iface_it->second;
-  }
-
-  // ---- elastic membership knobs (DESIGN.md "Fault tolerance"):
-  // elastic=on|off, peer_timeout_ms=. Socket-only, like port=/iface= —
-  // the in-process fabrics have no membership to lose.
-  const auto elastic_it = spec.options.find("elastic");
-  if (elastic_it != spec.options.end()) {
-    const std::string& value = elastic_it->second;
-    if (value != "on" && value != "off") {
-      throw Error("compressor spec: elastic= expects on or off, got '" +
-                  value + "'");
-    }
-    if (!socket) {
-      throw Error(
-          "compressor spec: elastic= is only meaningful with "
-          "fabric=socket (elastic membership lives in the socket "
-          "transport)");
-    }
-    pipeline.elastic = value == "on";
-  }
-  const auto peer_timeout_it = spec.options.find("peer_timeout_ms");
-  if (peer_timeout_it != spec.options.end()) {
-    if (!socket) {
-      throw Error(
-          "compressor spec: peer_timeout_ms= is only meaningful with "
-          "fabric=socket");
-    }
-    const double ms = spec.get_double("peer_timeout_ms", 0.0);
-    if (ms < 1.0 ||
-        ms != static_cast<double>(static_cast<int>(ms))) {
-      throw Error(
-          "compressor spec: peer_timeout_ms= expects a positive integer "
-          "millisecond count, got '" +
-          peer_timeout_it->second + "'");
-    }
-    pipeline.peer_timeout_ms = static_cast<int>(ms);
-  }
   // ---- scheduler knobs (DESIGN.md section 4): buckets=, bucket=,
   // workers=, autotune.
   const auto buckets_it = spec.options.find("buckets");
@@ -292,8 +220,7 @@ PipelineConfig pipeline_config_of(const Spec& spec,
     std::string plain = spec.kind;
     for (const auto& [key, value] : spec.options) {
       if (key == "buckets" || key == "workers" || key == "fabric" ||
-          key == "port" || key == "iface" || key == "autotune" ||
-          key == "elastic" || key == "peer_timeout_ms") {
+          key == "autotune") {
         continue;
       }
       plain += ":" + key + "=" + value;

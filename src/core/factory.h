@@ -30,27 +30,15 @@
 //                            pick chunk/bucket bytes by sweeping the cost
 //                            model; rejects an explicit chunk=/bucket=
 //
-// Transport selection (see DESIGN.md section 5):
+// Backend of the in-process aggregate() path (see DESIGN.md section 5):
 //   "fabric"                 shorthand for fabric=threaded
 //   "fabric=local"           local reference aggregators (the default)
 //   "fabric=threaded"        one thread per rank over comm::Fabric
-//   "fabric=socket"          one OS process per rank over net::SocketFabric
-//   "port=<1..65535>"        socket backend over TCP at this rendezvous
-//                            port (default: Unix-domain sockets in /tmp)
-//   "iface=<host>"           socket backend TCP host (default 127.0.0.1)
-// port=/iface= are only meaningful — and only accepted — together with
-// fabric=socket. The socket backend's I/O runs on one epoll reactor loop
-// per process.
-//
-// Elastic membership (see DESIGN.md "Fault tolerance"):
-//   "elastic=on|off"         survive a peer failure by re-rendezvousing
-//                            the survivors (epoch bump, dense re-ranking,
-//                            EF state carried over) instead of failing
-//                            the run. Default off: a peer exit mid-round
-//                            throws loudly on every surviving rank.
-//   "peer_timeout_ms=<ms>"   how long a silent peer can stall a recv
-//                            before it counts as failed (default 60000).
-// Both are socket-only knobs, rejected without fabric=socket.
+// A spec never selects a network transport: process-per-rank runs own a
+// net::SocketFabric endpoint per process and call
+// AggregationPipeline::aggregate_over (gcs_worker, gcs_driver), so the
+// rendezvous, peer timeout and elastic membership are flags of those
+// binaries, not spec keys.
 //
 // Throws gcs::Error on malformed specs — a typo must not silently run a
 // different experiment.
@@ -78,10 +66,10 @@ CompressorPtr make_compressor(const std::string& spec,
 SchemeCodecPtr make_scheme_codec(const std::string& spec,
                                  const ModelLayout& layout, int world_size);
 
-/// Parses the shared pipeline/transport/scheduler knobs of a spec
-/// (chunk=, fabric, fabric=, port=, iface=, buckets=, bucket=, workers=,
-/// autotune) without building the codec. Validates the values with the
-/// same rejection rules as make_compressor. The layout-free overload
+/// Parses the shared pipeline/scheduler knobs of a spec (chunk=, fabric,
+/// fabric=, buckets=, bucket=, workers=, autotune) without building the
+/// codec. Validates the values with the same rejection rules as
+/// make_compressor. The layout-free overload
 /// accepts buckets=layer/autotune but leaves PipelineConfig::layout empty
 /// (and the autotuned sizes unresolved) — the caller attaches a layout,
 /// or uses the overload below.

@@ -185,13 +185,21 @@ void mul_inplace_avx2(float* x, const float* s, std::size_t n) {
   mul_avx2(x, s, n, x);
 }
 
+/// Two NaN operands resolve to one of their payloads by operand order,
+/// which the compiler may pick differently here and in the reference; a
+/// block whose sum holds a NaN is recomputed by the reference itself.
 void add_avx2(const float* a, const float* b, std::size_t n, float* out) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
+    const __m256 sum =
+        _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
+    if (_mm256_movemask_ps(_mm256_cmp_ps(sum, sum, _CMP_UNORD_Q)) != 0) {
+      scalar().add(a + i, b + i, 8, out + i);
+    } else {
+      _mm256_storeu_ps(out + i, sum);
+    }
   }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
+  scalar().add(a + i, b + i, n - i, out + i);
 }
 
 /// Sequential min/max fold, identical to the scalar backend.

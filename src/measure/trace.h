@@ -66,7 +66,7 @@ struct TraceSpan {
 struct RoundTrace {
   std::uint64_t round = 0;
   std::string scheme;   ///< factory spec the round ran
-  std::string backend;  ///< "local" / "threaded" / "socket"
+  std::string backend;  ///< "local" / "threaded" / "spmd" / "multihost"
   /// The rank whose process recorded this trace (set by take() from
   /// TraceRecorder::set_origin_rank; -1 = unattributed, single-process).
   int origin_rank = -1;

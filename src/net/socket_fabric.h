@@ -74,8 +74,8 @@ struct SocketFabricConfig {
   int connect_timeout_ms = 20000;
   /// Deadline for a recv with no matching frame; guards against protocol
   /// bugs hanging a worker forever — and bounds how long a silent (not
-  /// cleanly exited) peer can stall a round. The factory's
-  /// `peer_timeout_ms=` knob lands here.
+  /// cleanly exited) peer can stall a round (gcs_worker
+  /// --peer-timeout-ms).
   int recv_timeout_ms = 60000;
   /// Elastic membership: survive peer failure via epoch rebuilds. Off by
   /// default — a peer exit then fails the round loudly (the experiment

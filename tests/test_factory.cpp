@@ -87,7 +87,7 @@ TEST(Factory, RetiredIoKnobIsAnUnknownKey) {
   // fail loudly instead of being silently ignored.
   const ModelLayout l({LayerSpec{"x", 100, 1}});
   for (const char* spec :
-       {"fp16:fabric=socket:io=threads", "fp16:fabric=socket:io=reactor"}) {
+       {"fp16:io=threads", "fp16:io=reactor"}) {
     for (const bool codec_only : {false, true}) {
       try {
         if (codec_only) {
@@ -109,64 +109,50 @@ TEST(Factory, FabricOptionSelectsBackend) {
   const ModelLayout l({LayerSpec{"x", 100, 1}});
   EXPECT_NO_THROW(make_compressor("fp16:fabric=local", l, 4));
   EXPECT_NO_THROW(make_compressor("fp16:fabric=threaded", l, 4));
-  EXPECT_NO_THROW(make_compressor("fp16:fabric=socket", l, 4));
-  EXPECT_NO_THROW(make_compressor("fp16:fabric=socket:port=29500", l, 4));
-  EXPECT_NO_THROW(make_compressor(
-      "fp16:fabric=socket:port=29500:iface=127.0.0.1", l, 4));
   // parse_pipeline_config exposes the same parse for SPMD drivers.
-  EXPECT_EQ(parse_pipeline_config("fp16:fabric=socket").backend,
-            PipelineBackend::kSocketFabric);
+  EXPECT_EQ(parse_pipeline_config("fp16:fabric=threaded").backend,
+            PipelineBackend::kThreadedFabric);
   EXPECT_EQ(parse_pipeline_config("fp16:fabric").backend,
             PipelineBackend::kThreadedFabric);
   // An explicit fabric=<value> beats the bare flag.
   EXPECT_EQ(parse_pipeline_config("fp16:fabric:fabric=local").backend,
             PipelineBackend::kLocalReference);
-  EXPECT_EQ(
-      parse_pipeline_config("fp16:fabric=socket:port=29500").socket_port,
-      29500);
+  // The fork-per-round socket backend is gone: a spec never selects a
+  // network transport, and none of its keys survive.
+  for (const char* spec :
+       {"fp16:fabric=socket", "fp16:port=29500", "fp16:iface=127.0.0.1",
+        "fp16:elastic=on", "fp16:peer_timeout_ms=500"}) {
+    EXPECT_THROW(make_compressor(spec, l, 4), Error) << spec;
+  }
 }
 
 TEST(Factory, ElasticKnobsParseAndReject) {
+  // Elastic membership is a property of the caller's transport
+  // (PipelineConfig::elastic, set by gcs_worker --elastic), not of a
+  // spec: elastic= and peer_timeout_ms= are unknown keys on every entry
+  // point, with any value and any fabric.
   const ModelLayout l({LayerSpec{"x", 100, 1}});
-  // The knobs parse with fabric=socket and land in the pipeline config.
-  EXPECT_NO_THROW(make_compressor("fp16:fabric=socket:elastic=on", l, 4));
-  EXPECT_NO_THROW(make_compressor("fp16:fabric=socket:elastic=off", l, 4));
-  EXPECT_NO_THROW(
-      make_compressor("fp16:fabric=socket:peer_timeout_ms=500", l, 4));
-  EXPECT_TRUE(parse_pipeline_config("fp16:fabric=socket:elastic=on")
-                  .elastic);
-  EXPECT_FALSE(parse_pipeline_config("fp16:fabric=socket:elastic=off")
-                   .elastic);
-  EXPECT_FALSE(parse_pipeline_config("fp16:fabric=socket").elastic);
-  EXPECT_EQ(parse_pipeline_config(
-                "fp16:fabric=socket:elastic=on:peer_timeout_ms=1500")
-                .peer_timeout_ms,
-            1500);
-  // Malformed values must not silently run a different experiment.
-  EXPECT_THROW(make_compressor("fp16:fabric=socket:elastic=yes", l, 4),
-               Error);
-  EXPECT_THROW(make_compressor("fp16:fabric=socket:elastic=", l, 4), Error);
-  EXPECT_THROW(
-      make_compressor("fp16:fabric=socket:peer_timeout_ms=0", l, 4), Error);
-  EXPECT_THROW(
-      make_compressor("fp16:fabric=socket:peer_timeout_ms=-5", l, 4),
-      Error);
-  EXPECT_THROW(
-      make_compressor("fp16:fabric=socket:peer_timeout_ms=abc", l, 4),
-      Error);
-  EXPECT_THROW(
-      make_compressor("fp16:fabric=socket:peer_timeout_ms=1.5", l, 4),
-      Error);
-  // Socket-only knobs, like port=/iface=: elastic membership lives in
-  // the socket transport, the in-process fabrics have none to lose.
-  EXPECT_THROW(make_compressor("fp16:elastic=on", l, 4), Error);
-  EXPECT_THROW(make_compressor("fp16:fabric=threaded:elastic=on", l, 4),
-               Error);
-  EXPECT_THROW(make_compressor("fp16:peer_timeout_ms=500", l, 4), Error);
-  EXPECT_THROW(
-      make_compressor("fp16:fabric=threaded:peer_timeout_ms=500", l, 4),
-      Error);
-  EXPECT_THROW(make_compressor("fp16:elastic=off", l, 4), Error);
+  for (const char* spec :
+       {"fp16:elastic=on", "fp16:elastic=off", "fp16:elastic=yes",
+        "fp16:fabric=threaded:elastic=on", "fp16:peer_timeout_ms=500",
+        "fp16:peer_timeout_ms=abc",
+        "fp16:fabric=threaded:peer_timeout_ms=500"}) {
+    for (const bool codec_only : {false, true}) {
+      try {
+        if (codec_only) {
+          (void)make_scheme_codec(spec, l, 4);
+        } else {
+          (void)make_compressor(spec, l, 4);
+        }
+        ADD_FAILURE() << spec << " was accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown option"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_FALSE(parse_pipeline_config("fp16").elastic);
 }
 
 TEST(Factory, SchemeCodecEntryValidatesPipelineKnobs) {
@@ -187,20 +173,25 @@ TEST(Factory, MalformedFabricValuesThrow) {
   EXPECT_THROW(make_compressor("fp16:fabric=sockets", l, 4), Error);
   EXPECT_THROW(make_compressor("fp16:fabric=bogus", l, 4), Error);
   EXPECT_THROW(make_compressor("fp16:fabric=", l, 4), Error);
-  // port= bounds and form.
-  EXPECT_THROW(make_compressor("fp16:fabric=socket:port=0", l, 4), Error);
-  EXPECT_THROW(make_compressor("fp16:fabric=socket:port=70000", l, 4),
-               Error);
-  EXPECT_THROW(make_compressor("fp16:fabric=socket:port=abc", l, 4), Error);
-  // port=/iface= are socket-only knobs.
-  EXPECT_THROW(make_compressor("fp16:port=29500", l, 4), Error);
-  EXPECT_THROW(make_compressor("fp16:fabric=threaded:port=29500", l, 4),
-               Error);
-  EXPECT_THROW(make_compressor("fp16:iface=127.0.0.1", l, 4), Error);
-  // iface= needs a value and a TCP rendezvous to attach to.
-  EXPECT_THROW(make_compressor("fp16:fabric=socket:iface=", l, 4), Error);
-  EXPECT_THROW(make_compressor("fp16:fabric=socket:iface=127.0.0.1", l, 4),
-               Error);
+  // fabric=socket and the knobs that only fed it are retired: every form
+  // throws, including the ones that used to be valid.
+  for (const char* spec :
+       {"fp16:fabric=socket", "fp16:fabric=socket:port=29500",
+        "fp16:fabric=socket:port=29500:iface=127.0.0.1",
+        "fp16:fabric=socket:elastic=on",
+        "fp16:fabric=socket:peer_timeout_ms=1500", "fp16:port=29500",
+        "fp16:fabric=threaded:port=29500", "fp16:iface=127.0.0.1"}) {
+    EXPECT_THROW(make_compressor(spec, l, 4), Error) << spec;
+    EXPECT_THROW(make_scheme_codec(spec, l, 4), Error) << spec;
+  }
+  try {
+    (void)parse_pipeline_config("fp16:fabric=socket");
+    ADD_FAILURE() << "fabric=socket was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("local or threaded"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Factory, MalformedNumberThrows) {

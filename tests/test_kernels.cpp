@@ -247,6 +247,28 @@ TEST(Kernels, AddCrossBackend) {
       EXPECT_EQ(ra[i], a[i] + b[i]);
     }
   }
+  // Both operands NaN with distinct signs and payloads, quiet and
+  // signaling, in both operand orders: which payload survives depends on
+  // operand order, so both backends must make the same choice in the
+  // vector blocks and in the tail.
+  const std::vector<std::uint32_t> nans = {0x7FC01234u, 0xFFC00000u,
+                                           0x7FC00000u, 0xFFC05678u,
+                                           0x7F800001u, 0xFF812345u};
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (const std::uint32_t x : nans) {
+      for (const std::uint32_t y : nans) {
+        if (x == y) continue;
+        std::vector<float> a(n, std::bit_cast<float>(x));
+        std::vector<float> b(n, std::bit_cast<float>(y));
+        if (n > 2) b[n / 2] = 1.5f;  // one NaN + finite lane per call
+        std::vector<float> ra(n), rb(n);
+        kernels::scalar().add(a.data(), b.data(), n, ra.data());
+        kernels::avx2().add(a.data(), b.data(), n, rb.data());
+        ASSERT_EQ(std::memcmp(ra.data(), rb.data(), n * sizeof(float)), 0)
+            << std::hex << x << " + " << y << " n=" << std::dec << n;
+      }
+    }
+  }
 }
 
 /// The legacy Fp16Sum hop: add in FP32, round back to FP16.
@@ -638,7 +660,7 @@ ByteBuffer thc_encode_reference(std::span<const float> x,
 
 TEST(Kernels, ThcEncodeLanesMatchesLegacyComposition) {
   Rng rng(23);
-  for (const auto [q, b] : std::vector<std::pair<unsigned, unsigned>>{
+  for (const auto& [q, b] : std::vector<std::pair<unsigned, unsigned>>{
            {2, 2}, {4, 4}, {8, 8}, {2, 4}, {4, 8}, {2, 8}}) {
     for (std::size_t n : {8u, 16u, 120u, 1024u}) {
       ASSERT_EQ(n * b % 8, 0u);
@@ -652,7 +674,7 @@ TEST(Kernels, ThcEncodeLanesMatchesLegacyComposition) {
         lo = std::min(lo, v);
         hi = std::max(hi, v);
       }
-      for (const auto [rlo, rhi] :
+      for (const auto& [rlo, rhi] :
            std::vector<std::pair<float, float>>{{lo, hi}, {lo, lo}}) {
         const ByteBuffer ref =
             thc_encode_reference(x, u, rlo, rhi, q, b);
@@ -675,7 +697,7 @@ TEST(Kernels, ThcEncodeLanesMatchesLegacyComposition) {
 
 TEST(Kernels, ThcDecodeLanesMatchesLegacyComposition) {
   Rng rng(29);
-  for (const auto [q, b] : std::vector<std::pair<unsigned, unsigned>>{
+  for (const auto& [q, b] : std::vector<std::pair<unsigned, unsigned>>{
            {2, 2}, {4, 4}, {8, 8}, {2, 4}, {4, 8}}) {
     for (std::size_t n : {8u, 16u, 120u, 1024u}) {
       for (unsigned workers : {1u, 2u, 8u}) {

@@ -389,7 +389,7 @@ TEST(SocketFabric, ResetCountersFailsWithUnmatchedFrames) {
 TEST(SocketFabric, ChunkedRingMatchesInProcessFabricBytesAndValues) {
   // The same chunked collective over both transports: identical reduced
   // payloads and identical per-rank wire meters (the byte-identity
-  // contract the pipeline's socket backend relies on).
+  // contract every socket mesh running aggregate_over relies on).
   const int n = 3;
   const std::size_t floats = 256;
   std::vector<ByteBuffer> inputs(n);

@@ -1,9 +1,10 @@
 // Acceptance tests of the scheduler layer on the value path: bucketed
 // (buckets=layer) multi-worker (workers>1) aggregation is bit-identical
 // to the PR 1 single-threaded size-chunked pipeline for all five schemes,
-// across world sizes 2-8, on the local, threaded-fabric and socket-fabric
-// backends — and wire bytes per rank are unchanged by the scheduler knobs
-// (the bucket plan changes the schedule, never the traffic).
+// across world sizes 2-8, on the local and threaded-fabric backends and
+// on a persistent multi-process socket mesh — and wire bytes per rank are
+// unchanged by the scheduler knobs (the bucket plan changes the schedule,
+// never the traffic).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "core/aggregation_pipeline.h"
 #include "core/factory.h"
+#include "socket_mesh.h"
 #include "tensor/layout.h"
 
 namespace gcs::core {
@@ -184,24 +186,32 @@ TEST(SchedPipeline, BucketedMultiWorkerMatchesOnThreadedFabric) {
 }
 
 TEST(SchedPipeline, BucketedMultiWorkerMatchesOnSocketFabric) {
-  // Socket fabric: every aggregate() forks real processes; the child
-  // ranks rebuild their own encode pools post-fork. World sizes kept
-  // small — each (scheme, world) pair is a full multi-process mesh.
+  // Socket fabric: every rank is a forked process with its own encode
+  // pool, meshed once and running consecutive aggregate_over rounds.
+  // World sizes kept small — each (scheme, world) pair is a full
+  // multi-process mesh.
   const ModelLayout layout = test_layout();
   const std::size_t d = layout.total_size();
   for (int world : {2, 4}) {
+    const testing::RoundGrads grads_of = [d, world](int round) {
+      return random_grads(d, world,
+                          8600 + static_cast<std::uint64_t>(round));
+    };
     for (const char* spec : kSchemes) {
-      auto reference =
-          make_compressor(std::string(spec) + ":chunk=512", layout, world);
-      const auto ref = run_rounds(*reference, d, world);
-
-      auto bucketed = make_compressor(
-          std::string(spec) +
-              ":buckets=layer:bucket=2048:workers=2:fabric=socket",
-          layout, world);
-      const auto got = run_rounds(*bucketed, d, world);
-      EXPECT_TRUE(bit_identical(got.outputs, ref.outputs))
-          << spec << " world=" << world;
+      const auto reference = testing::run_reference(
+          spec, layout, world,
+          parse_pipeline_config(std::string(spec) + ":chunk=512:fabric"),
+          kRounds, grads_of);
+      const auto mesh = testing::run_socket_mesh(
+          spec, layout, world,
+          parse_pipeline_config(
+              std::string(spec) + ":buckets=layer:bucket=2048:workers=2",
+              layout, world),
+          kRounds, grads_of);
+      ASSERT_EQ(mesh.size(), static_cast<std::size_t>(world));
+      testing::expect_mesh_matches(
+          mesh, reference,
+          std::string(spec) + " world=" + std::to_string(world));
     }
   }
 }

@@ -1,22 +1,26 @@
 // The acceptance test of the socket transport subsystem: a multi-process
-// SocketFabric DDP round (world size >= 4, all five schemes) produces
+// SocketFabric DDP run (world size >= 4, all five schemes) produces
 // bit-identical aggregated gradients and identical per-rank wire-byte
-// counts to the in-process fabric. Every socket-backend aggregate() call
-// below forks real OS processes (ranks 1..n-1; the test process itself
-// participates as rank 0) and meshes them over Unix-domain sockets.
+// counts to the in-process fabric. Every rank is a real forked OS process
+// that meshes once over Unix-domain sockets and then runs consecutive
+// rounds of aggregate_over on its own pipeline (tests/socket_mesh.h).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/aggregation_pipeline.h"
 #include "core/factory.h"
+#include "socket_mesh.h"
 #include "tensor/layout.h"
 
 namespace gcs::core {
 namespace {
+
+using testing::expect_mesh_matches;
+using testing::run_reference;
+using testing::run_socket_mesh;
 
 constexpr int kWorld = 4;
 constexpr int kRounds = 2;
@@ -43,68 +47,39 @@ std::vector<std::vector<float>> random_grads(std::size_t d, int world,
   return grads;
 }
 
-std::vector<std::span<const float>> views_of(
-    const std::vector<std::vector<float>>& grads) {
-  std::vector<std::span<const float>> views;
-  for (const auto& g : grads) views.emplace_back(g.data(), g.size());
-  return views;
+testing::RoundGrads grads_for(std::size_t d, int world) {
+  return [d, world](int round) {
+    return random_grads(d, world, 7000 + static_cast<std::uint64_t>(round));
+  };
 }
 
-struct RunResult {
-  std::vector<float> outputs;          // concatenated per-round outs
-  std::vector<WireTraffic> wire;       // per-round meters
-};
-
-RunResult run_rounds(AggregationPipeline& pipeline, int world, int rounds) {
-  const std::size_t d = pipeline.codec().dimension();
-  RunResult result;
-  std::vector<float> out(d);
-  for (int r = 0; r < rounds; ++r) {
-    const auto grads =
-        random_grads(d, world, 7000 + static_cast<std::uint64_t>(r));
-    const auto views = views_of(grads);
-    pipeline.aggregate(std::span<const std::span<const float>>(views), out,
-                       static_cast<std::uint64_t>(r));
-    result.outputs.insert(result.outputs.end(), out.begin(), out.end());
-    result.wire.push_back(pipeline.last_wire());
-  }
-  return result;
+PipelineConfig chunked(std::size_t chunk_bytes, PipelineBackend backend) {
+  PipelineConfig config;
+  config.chunk_bytes = chunk_bytes;
+  config.backend = backend;
+  return config;
 }
 
 TEST(SocketPipeline, MatchesInProcessFabricForAllFiveSchemes) {
   const ModelLayout layout = make_transformer_like_layout(1 << 12);
+  const auto grads_of = grads_for(layout.total_size(), kWorld);
   for (const char* spec : kSchemes) {
-    PipelineConfig threaded;
-    threaded.chunk_bytes = 512;
-    threaded.backend = PipelineBackend::kThreadedFabric;
-    AggregationPipeline in_process(
-        make_scheme_codec(spec, layout, kWorld), threaded);
-    const RunResult reference = run_rounds(in_process, kWorld, kRounds);
-
-    PipelineConfig socket;
-    socket.chunk_bytes = 512;
-    socket.backend = PipelineBackend::kSocketFabric;
-    AggregationPipeline over_sockets(
-        make_scheme_codec(spec, layout, kWorld), socket);
-    const RunResult real = run_rounds(over_sockets, kWorld, kRounds);
-
-    // Bit-identical aggregated gradients, including cross-round state
-    // (error feedback, PowerSGD warm starts) evolving identically.
-    ASSERT_EQ(real.outputs.size(), reference.outputs.size()) << spec;
-    EXPECT_EQ(std::memcmp(real.outputs.data(), reference.outputs.data(),
-                          real.outputs.size() * sizeof(float)),
-              0)
-        << spec;
-
-    // Identical per-rank wire bytes in both directions, every round.
-    ASSERT_EQ(real.wire.size(), reference.wire.size()) << spec;
-    for (std::size_t r = 0; r < real.wire.size(); ++r) {
-      EXPECT_EQ(real.wire[r].sent, reference.wire[r].sent)
-          << spec << " round " << r;
-      EXPECT_EQ(real.wire[r].received, reference.wire[r].received)
-          << spec << " round " << r;
+    const auto reference =
+        run_reference(spec, layout, kWorld,
+                      chunked(512, PipelineBackend::kThreadedFabric),
+                      kRounds, grads_of);
+    // Bit-identical aggregated gradients on every rank, including
+    // cross-round state (error feedback, PowerSGD warm starts) evolving
+    // on its own in each process; identical per-rank wire bytes in both
+    // directions, every round.
+    const auto mesh = run_socket_mesh(
+        spec, layout, kWorld, chunked(512, PipelineBackend::kLocalReference),
+        kRounds, grads_of);
+    ASSERT_EQ(mesh.size(), static_cast<std::size_t>(kWorld)) << spec;
+    expect_mesh_matches(mesh, reference, spec);
+    for (int r = 0; r < kRounds; ++r) {
       std::uint64_t total = 0;
-      for (const auto b : real.wire[r].sent) total += b;
+      for (const auto& rank : mesh) total += rank.sent[r];
       EXPECT_GT(total, 0u) << spec << ": socket round moved no bytes?";
     }
   }
@@ -112,47 +87,35 @@ TEST(SocketPipeline, MatchesInProcessFabricForAllFiveSchemes) {
 
 TEST(SocketPipeline, WorldSizeFivePowerOfTwoBreaker) {
   // World sizes off the power of two also mesh and agree (tree/broadcast
-  // topologies degenerate differently at n=5).
-  const ModelLayout layout({LayerSpec{"flat", 2048, 1}});
-  PipelineConfig threaded;
-  threaded.chunk_bytes = 256;
-  threaded.backend = PipelineBackend::kThreadedFabric;
-  AggregationPipeline in_process(
-      make_scheme_codec("topkc:b=8", layout, 5), threaded);
-  const RunResult reference = run_rounds(in_process, 5, 1);
-
-  PipelineConfig socket;
-  socket.chunk_bytes = 256;
-  socket.backend = PipelineBackend::kSocketFabric;
-  AggregationPipeline over_sockets(
-      make_scheme_codec("topkc:b=8", layout, 5), socket);
-  const RunResult real = run_rounds(over_sockets, 5, 1);
-
-  EXPECT_EQ(std::memcmp(real.outputs.data(), reference.outputs.data(),
-                        real.outputs.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(real.wire[0].sent, reference.wire[0].sent);
-  EXPECT_EQ(real.wire[0].received, reference.wire[0].received);
+  // topologies degenerate differently at n=5), for every scheme.
+  const ModelLayout layout = make_transformer_like_layout(1 << 12);
+  const auto grads_of = grads_for(layout.total_size(), 5);
+  for (const char* spec : kSchemes) {
+    const auto reference =
+        run_reference(spec, layout, 5,
+                      chunked(256, PipelineBackend::kThreadedFabric),
+                      kRounds, grads_of);
+    const auto mesh = run_socket_mesh(
+        spec, layout, 5, chunked(256, PipelineBackend::kLocalReference),
+        kRounds, grads_of);
+    ASSERT_EQ(mesh.size(), 5u) << spec;
+    expect_mesh_matches(mesh, reference, std::string(spec) + " world=5");
+  }
 }
 
-TEST(SocketPipeline, FactorySpecSelectsSocketBackend) {
-  // fabric=socket through the legacy Compressor surface: same values as
-  // the local reference path.
+TEST(SocketPipeline, RetiredSocketSpecKeysAreRejected) {
+  // A spec never selects a network transport: the fork-per-round backend
+  // and its knobs are gone, and each must fail loudly with a typed error
+  // instead of silently running in-process.
   const ModelLayout layout({LayerSpec{"flat", 1024, 1}});
-  auto local = make_compressor("thc:q=4:b=4:sat:partial", layout, kWorld);
-  auto socket = make_compressor(
-      "thc:q=4:b=4:sat:partial:chunk=256:fabric=socket", layout, kWorld);
-
-  const auto grads = random_grads(1024, kWorld, 42);
-  const auto views = views_of(grads);
-  std::vector<float> out_local(1024), out_socket(1024);
-  local->aggregate(std::span<const std::span<const float>>(views),
-                   out_local, 0);
-  socket->aggregate(std::span<const std::span<const float>>(views),
-                    out_socket, 0);
-  EXPECT_EQ(std::memcmp(out_local.data(), out_socket.data(),
-                        out_local.size() * sizeof(float)),
-            0);
+  for (const char* spec :
+       {"thc:q=4:b=4:sat:partial:chunk=256:fabric=socket",
+        "fp16:port=29500", "fp16:iface=127.0.0.1", "fp16:elastic=on",
+        "fp16:peer_timeout_ms=500"}) {
+    EXPECT_THROW(make_compressor(spec, layout, kWorld), Error) << spec;
+    EXPECT_THROW(make_scheme_codec(spec, layout, kWorld), Error) << spec;
+  }
+  EXPECT_THROW(parse_pipeline_config("fp16:fabric=socket"), Error);
 }
 
 TEST(SocketPipeline, LocalBackendReportsNoWire) {
@@ -160,7 +123,7 @@ TEST(SocketPipeline, LocalBackendReportsNoWire) {
   AggregationPipeline pipeline(make_scheme_codec("fp16", layout, kWorld),
                                PipelineConfig{});
   const auto grads = random_grads(512, kWorld, 1);
-  const auto views = views_of(grads);
+  const auto views = testing::grad_views(grads);
   std::vector<float> out(512);
   pipeline.aggregate(std::span<const std::span<const float>>(views), out,
                      0);

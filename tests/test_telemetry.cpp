@@ -11,6 +11,8 @@
 //     fold, label rendering;
 //   * the stats endpoint — a live HTTP scrape against a StatsServer on a
 //     kernel-assigned port and on a tests/net_test_util.h ephemeral port;
+//   * the scrape client (http_get) — deadline on a silent server, the
+//     response cap, non-200 statuses and malformed targets;
 //   * Chrome trace export — structural checks on the pid/tid/metadata
 //     mapping from measure::RoundTrace;
 //   * comm::TransportStats — the default Transport implementation (via
@@ -21,7 +23,9 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -33,6 +37,7 @@
 #include "net/socket.h"
 #include "net/socket_fabric.h"
 #include "telemetry/chrome_trace.h"
+#include "telemetry/http_get.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stats_server.h"
 #include "net_test_util.h"
@@ -226,30 +231,9 @@ TEST(Telemetry, PrometheusTextRendersAllThreeKinds) {
 
 // --------------------------------------------------------- stats server
 
-/// Minimal HTTP/1.0 scrape against 127.0.0.1:port; returns the body.
+/// GET /metrics from 127.0.0.1:port through the tools' client.
 std::string scrape(int port) {
-  net::Address addr;
-  addr.is_unix = false;
-  addr.host = "127.0.0.1";
-  addr.port = port;
-  net::Socket sock = net::connect_to(addr, 2000);
-  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-  sock.write_all(request.data(), request.size());
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t got = ::read(sock.fd(), buf, sizeof(buf));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw Error(std::string("scrape read failed: ") + std::strerror(errno));
-    }
-    if (got == 0) break;
-    response.append(buf, static_cast<std::size_t>(got));
-  }
-  EXPECT_NE(response.find("200 OK"), std::string::npos);
-  const auto blank = response.find("\r\n\r\n");
-  EXPECT_NE(blank, std::string::npos);
-  return blank == std::string::npos ? "" : response.substr(blank + 4);
+  return http_get("127.0.0.1:" + std::to_string(port), "/metrics", 2000);
 }
 
 TEST(StatsServer, ServesPrometheusTextOnKernelAssignedPort) {
@@ -336,6 +320,110 @@ TEST(StatsServer, RoutesHealthzRootAndUnknownTargets) {
   EXPECT_NE(missing.find("404 Not Found"), std::string::npos);
   EXPECT_NE(missing.find("not found\n"), std::string::npos);
   EXPECT_EQ(missing.find(cname), std::string::npos);
+}
+
+// ------------------------------------------------------------ http_get
+
+/// A loopback listener that serves exactly one connection with `serve`
+/// on its own thread (errors from a client hanging up are swallowed).
+class OneShotServer {
+ public:
+  explicit OneShotServer(std::function<void(net::Socket&)> serve) {
+    net::Address addr;
+    addr.is_unix = false;
+    addr.host = "127.0.0.1";
+    listener_ = net::listen_on(addr, /*backlog=*/1);
+    target_ = "127.0.0.1:" + std::to_string(addr.port);
+    thread_ = std::thread([this, serve = std::move(serve)] {
+      try {
+        net::Socket conn = net::accept_from(listener_, 10000);
+        serve(conn);
+      } catch (const Error&) {
+      }
+    });
+  }
+  ~OneShotServer() { thread_.join(); }
+  const std::string& target() const { return target_; }
+
+ private:
+  net::Socket listener_;
+  std::string target_;
+  std::thread thread_;
+};
+
+/// Reads until the client closes its end.
+void drain_until_eof(net::Socket& conn) {
+  char buf[4096];
+  while (::read(conn.fd(), buf, sizeof(buf)) > 0) {
+  }
+}
+
+/// Reads one request up to its blank line, as StatsServer does, so that
+/// closing the connection afterwards sends a FIN rather than a reset.
+void read_request(net::Socket& conn) {
+  std::string request;
+  char c;
+  while (request.find("\r\n\r\n") == std::string::npos &&
+         conn.read_exact(&c, 1)) {
+    request.push_back(c);
+  }
+}
+
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no gcs::Error thrown";
+  return "";
+}
+
+TEST(HttpGet, SilentServerFailsWithinTheDeadline) {
+  // Accepts, then never answers: the deadline must cover the reads, not
+  // only the connect.
+  OneShotServer server(drain_until_eof);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string error =
+      error_of([&] { (void)http_get(server.target(), "/metrics", 200); });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(error.find("within 200 ms"), std::string::npos) << error;
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST(HttpGet, OversizedResponseIsCapped) {
+  OneShotServer server([](net::Socket& conn) {
+    read_request(conn);
+    const std::string head = "HTTP/1.0 200 OK\r\n\r\n";
+    conn.write_all(head.data(), head.size());
+    const std::string body(kHttpGetMaxBytes, 'x');
+    conn.write_all(body.data(), body.size());
+  });
+  const std::string error =
+      error_of([&] { (void)http_get(server.target(), "/metrics", 10000); });
+  EXPECT_NE(error.find("more than"), std::string::npos) << error;
+}
+
+TEST(HttpGet, NonOkStatusThrows) {
+  OneShotServer server([](net::Socket& conn) {
+    read_request(conn);
+    const std::string reply =
+        "HTTP/1.0 503 Service Unavailable\r\n\r\nno provider\n";
+    conn.write_all(reply.data(), reply.size());
+  });
+  const std::string error =
+      error_of([&] { (void)http_get(server.target(), "/health", 10000); });
+  EXPECT_NE(error.find("503 Service Unavailable"), std::string::npos)
+      << error;
+}
+
+TEST(HttpGet, MalformedTargetsThrowTypedErrors) {
+  for (const char* target :
+       {"localhost", ":9200", "127.0.0.1:", "127.0.0.1:abc",
+        "127.0.0.1:0", "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:92x"}) {
+    EXPECT_THROW((void)http_get(target, "/metrics", 100), Error) << target;
+  }
 }
 
 // --------------------------------------------------------- chrome trace

@@ -82,7 +82,9 @@ TEST(TopK, AggregateIsUnionOfPerWorkerSelections) {
   EXPECT_EQ(out[3], 8.0f);
   EXPECT_EQ(out[17], -9.0f);
   for (std::size_t i = 0; i < 40; ++i) {
-    if (i != 3 && i != 17) EXPECT_EQ(out[i], 0.0f) << i;
+    if (i != 3 && i != 17) {
+      EXPECT_EQ(out[i], 0.0f) << i;
+    }
   }
 }
 

@@ -407,7 +407,9 @@ TEST_P(TransportConformance, RebuildShrinksWorldAndCountsStaleFrames) {
     EXPECT_EQ(s.epoch, 1u);
     EXPECT_EQ(s.rebuilds, 1u);
     EXPECT_GE(s.peer_failures, 1u);
-    if (rank == 1) EXPECT_GE(s.stale_frames_rejected, 1u);
+    if (rank == 1) {
+      EXPECT_GE(s.stale_frames_rejected, 1u);
+    }
   }, opts);
 }
 

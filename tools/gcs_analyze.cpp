@@ -11,8 +11,8 @@
 //
 //   gcs_analyze /tmp/t.rank*.json --out=/tmp/analysis
 //   gcs_analyze dumps/gcs_flight.rank*.json        # post-mortem triage
-//   gcs_analyze t.rank*.json --gate \
-//       --require=straggler=2,share>=0.5,flows>=4  # CI gate
+//   # the CI gate:
+//   gcs_analyze t.rank*.json --gate --require=straggler=2,share>=0.5,flows>=4
 //
 // Artefacts (under --out, default "."):
 //   gcs_merged.chrome.json    flow-annotated merged Chrome trace — one

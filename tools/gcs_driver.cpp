@@ -23,8 +23,9 @@
 //
 // Execution backends:
 //   --fabric=threaded   (default) one thread per rank, in-process
-//   --fabric=socket     one forked OS process per rank per round over
-//                       Unix-domain sockets (loopback); rank 0 is traced
+//   --fabric=socket     the multi-host path on loopback: ranks 1..n-1 are
+//                       forked once, every rank meshes over Unix-domain
+//                       sockets and runs the sweep SPMD; rank 0 traces
 //   --rank=<r> --rendezvous=<addr>
 //                       one rank of a multi-host sweep over a shared
 //                       TCP/UDS mesh (the gcs_worker pattern): every
@@ -115,9 +116,10 @@ struct ScenarioResult {
   sim::RoundTime charged;                   ///< uncalibrated testbed charge
 };
 
-/// Builds the pipeline config for one spec on the chosen backend,
-/// mirroring gcs_worker's contract: transport selection belongs to the
-/// driver, not the spec.
+/// Builds the pipeline config for one spec, mirroring gcs_worker's
+/// contract: transport selection belongs to the driver, not the spec.
+/// aggregate() runs on the threaded fabric; multi-host ranks call
+/// aggregate_over, which ignores the backend.
 core::PipelineConfig pipeline_config_for(const DriverConfig& config,
                                          const std::string& spec,
                                          const ModelLayout& layout,
@@ -129,20 +131,14 @@ core::PipelineConfig pipeline_config_for(const DriverConfig& config,
         "gcs_driver: drop fabric=/fabric from --schemes — the execution "
         "backend is chosen by --fabric/--rank");
   }
-  if (config.rank >= 0) {
-    pc.backend = core::PipelineBackend::kLocalReference;  // aggregate_over
-  } else if (config.fabric == "socket") {
-    pc.backend = core::PipelineBackend::kSocketFabric;
-  } else {
-    pc.backend = core::PipelineBackend::kThreadedFabric;
-  }
+  pc.backend = core::PipelineBackend::kThreadedFabric;
   pc.trace = trace;
   return pc;
 }
 
-/// Runs one spec for `rounds` rounds on the in-process backends and
-/// returns its samples (median + all timed rounds). Used for both
-/// --fabric=threaded and --fabric=socket (the pipeline forks per round).
+/// Runs one spec for `rounds` rounds and returns its samples (median + all
+/// timed rounds): on the threaded fabric, or as one rank of a multi-host
+/// mesh when `multihost_comm` is set.
 ScenarioResult run_scenario(const DriverConfig& config,
                             const std::string& spec,
                             const ModelLayout& layout,
@@ -229,40 +225,6 @@ ProbeResults probe_threaded(int world) {
   return probes;
 }
 
-/// Probes over real loopback sockets: one thread per rank, each with its
-/// own Unix-domain SocketFabric endpoint (the --fabric=socket substrate).
-ProbeResults probe_sockets(int world) {
-  ProbeResults probes;
-  const std::string rendezvous = net::unique_unix_rendezvous();
-  std::vector<std::thread> threads;
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  for (int rank = 0; rank < world; ++rank) {
-    threads.emplace_back([&, rank] {
-      try {
-        net::SocketFabricConfig fc;
-        fc.rendezvous = rendezvous;
-        fc.world_size = world;
-        fc.rank = rank;
-        net::SocketFabric fabric(fc);
-        comm::Communicator comm(fabric, rank);
-        const auto link = measure::probe_link(comm, 0, 1 % world);
-        const auto incast = measure::probe_incast(comm, 0);
-        if (rank == 0) {
-          probes.link = link;
-          probes.incast = incast;
-        }
-      } catch (...) {
-        std::lock_guard lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-  return probes;
-}
-
 /// The full sweep + probes + calibration + artefacts on one process (or,
 /// in multi-host mode, on every rank SPMD with rank 0 reporting).
 /// Returns the process exit code.
@@ -278,8 +240,6 @@ int run_driver(const DriverConfig& config,
     probes.link = measure::probe_link(*multihost_comm, 0,
                                       1 % config.world);
     probes.incast = measure::probe_incast(*multihost_comm, 0);
-  } else if (config.fabric == "socket") {
-    probes = probe_sockets(config.world);
   } else {
     probes = probe_threaded(config.world);
   }
@@ -491,6 +451,23 @@ int run_multihost(const DriverConfig& config) {
   return run_driver(config, &comm);
 }
 
+/// --fabric=socket: the multi-host path on one machine. Forks ranks
+/// 1..n-1 once over a fresh Unix-domain rendezvous; this process is rank
+/// 0 (traces, calibrates, writes the artefacts and owns the exit code).
+int run_loopback_mesh(DriverConfig config) {
+  config.rendezvous = net::unique_unix_rendezvous();
+  net::ForkedWorkers peers(1, config.world, [&config](int rank) {
+    DriverConfig peer = config;
+    peer.rank = rank;
+    (void)run_multihost(peer);  // non-reporting ranks always return 0
+    return ByteBuffer{};
+  });
+  config.rank = 0;
+  const int code = run_multihost(config);
+  (void)peers.join();  // throws naming a rank that failed
+  return code;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -504,7 +481,8 @@ int main(int argc, char** argv) {
              "  --fabric=<threaded|socket>\n"
              "                        execution backend (default threaded;\n"
              "                        socket forks one process per rank\n"
-             "                        per round over Unix sockets)\n"
+             "                        once and runs the multi-host path\n"
+             "                        over Unix sockets)\n"
              "  --rank=<r> --rendezvous=<addr>\n"
              "                        multi-host mode: one rank per host\n"
              "                        over a shared TCP/UDS mesh; all\n"
@@ -549,6 +527,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (config.rank >= 0) return run_multihost(config);
+    if (config.fabric == "socket") return run_loopback_mesh(config);
     return run_driver(config, nullptr);
   } catch (const std::exception& e) {
     std::cerr << "gcs_driver: " << e.what() << '\n';

@@ -21,15 +21,14 @@
 // exponential backoff (0.5 s doubling to a 5 s cap) until it answers
 // again — restarting a rank mid-watch resumes its row, and a transient
 // dump-write failure warns instead of killing the session.
-// The scrape path is deliberately dependency-free: a hand-rolled
-// HTTP/1.0 GET over net::connect_to and a line-oriented parse of the
-// text format — the same dialect tests/test_telemetry.cpp locks down.
+// The scrape path is deliberately dependency-free: telemetry::http_get
+// (one HTTP/1.0 GET, bounded by --timeout-ms on every read) and a
+// line-oriented parse of the text format — the same dialect
+// tests/test_telemetry.cpp locks down.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -38,12 +37,10 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/cli.h"
 #include "common/check.h"
 #include "common/table.h"
-#include "net/socket.h"
+#include "telemetry/http_get.h"
 
 namespace {
 
@@ -62,51 +59,6 @@ struct Scrape {
   double duration_ms = 0.0;  // connect -> body fully read
   std::vector<Sample> samples;
 };
-
-/// One HTTP/1.0 GET /metrics against "host:port". Returns the response
-/// body (after the blank line); throws gcs::Error on connect/read
-/// failure or a non-200 status.
-std::string http_get_metrics(const std::string& target, int timeout_ms) {
-  gcs::net::Address addr;
-  addr.is_unix = false;
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    throw gcs::Error("gcs_stat: target '" + target + "' is not host:port");
-  }
-  addr.host = target.substr(0, colon);
-  addr.port = std::stoi(target.substr(colon + 1));
-
-  gcs::net::Socket sock = gcs::net::connect_to(addr, timeout_ms);
-  const std::string request =
-      "GET /metrics HTTP/1.0\r\nHost: " + target + "\r\n\r\n";
-  sock.write_all(request.data(), request.size());
-
-  // Read to EOF: the server closes after one response (HTTP/1.0).
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t got = ::read(sock.fd(), buf, sizeof(buf));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw gcs::Error("gcs_stat: read from " + target + " failed: " +
-                       std::strerror(errno));
-    }
-    if (got == 0) break;
-    response.append(buf, static_cast<std::size_t>(got));
-  }
-
-  const auto eol = response.find("\r\n");
-  const std::string status =
-      eol == std::string::npos ? response : response.substr(0, eol);
-  if (status.find(" 200 ") == std::string::npos) {
-    throw gcs::Error("gcs_stat: " + target + " answered '" + status + "'");
-  }
-  const auto blank = response.find("\r\n\r\n");
-  if (blank == std::string::npos) {
-    throw gcs::Error("gcs_stat: " + target + " sent no header terminator");
-  }
-  return response.substr(blank + 4);
-}
 
 /// Parses one exposition body into samples. Returns false if any
 /// non-comment, non-blank line failed to parse (the samples that did
@@ -187,7 +139,7 @@ Scrape scrape_target(const std::string& target, int timeout_ms) {
   s.target = target;
   const auto start = std::chrono::steady_clock::now();
   try {
-    s.body = http_get_metrics(target, timeout_ms);
+    s.body = gcs::telemetry::http_get(target, "/metrics", timeout_ms);
     s.ok = true;
     s.parse_ok = parse_exposition(s.body, &s.samples);
   } catch (const std::exception& e) {

@@ -29,23 +29,19 @@
 //
 // Exit status with --once: 0 when every expectation held, 1 otherwise.
 // Without expectations, --once exits 0 iff every target answered.
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/cli.h"
 #include "common/check.h"
 #include "common/json.h"
 #include "common/table.h"
-#include "net/socket.h"
+#include "telemetry/http_get.h"
 
 namespace {
 
@@ -79,55 +75,12 @@ struct Health {
   std::vector<Anomaly> anomalies;
 };
 
-/// One HTTP/1.0 GET /health against "host:port"; returns the body.
-/// Throws gcs::Error on connect/read failure or non-200 status.
-std::string http_get_health(const std::string& target, int timeout_ms) {
-  gcs::net::Address addr;
-  addr.is_unix = false;
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    throw gcs::Error("gcs_top: target '" + target + "' is not host:port");
-  }
-  addr.host = target.substr(0, colon);
-  addr.port = std::stoi(target.substr(colon + 1));
-
-  gcs::net::Socket sock = gcs::net::connect_to(addr, timeout_ms);
-  const std::string request =
-      "GET /health HTTP/1.0\r\nHost: " + target + "\r\n\r\n";
-  sock.write_all(request.data(), request.size());
-
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t got = ::read(sock.fd(), buf, sizeof(buf));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw gcs::Error("gcs_top: read from " + target + " failed: " +
-                       std::strerror(errno));
-    }
-    if (got == 0) break;
-    response.append(buf, static_cast<std::size_t>(got));
-  }
-
-  const auto eol = response.find("\r\n");
-  const std::string status =
-      eol == std::string::npos ? response : response.substr(0, eol);
-  if (status.find(" 200 ") == std::string::npos) {
-    throw gcs::Error("gcs_top: " + target + " answered '" + status + "'");
-  }
-  const auto blank = response.find("\r\n\r\n");
-  if (blank == std::string::npos) {
-    throw gcs::Error("gcs_top: " + target + " sent no header terminator");
-  }
-  return response.substr(blank + 4);
-}
-
 Health scrape_health(const std::string& target, int timeout_ms) {
   Health h;
   h.target = target;
   try {
-    const gcs::json::Value doc = gcs::json::parse(http_get_health(target,
-                                                                  timeout_ms));
+    const gcs::json::Value doc = gcs::json::parse(
+        gcs::telemetry::http_get(target, "/health", timeout_ms));
     if (!doc.is_object()) throw gcs::Error("health body is not an object");
     h.rank = static_cast<int>(doc.num_or("rank", -1));
     h.status = doc.str_or("status", "?");
